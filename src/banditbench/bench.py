@@ -12,6 +12,10 @@ reruns of the same config byte-match (wall time excepted).
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import csv
+import functools
+import itertools
 import re
 import time
 from dataclasses import dataclass
@@ -48,7 +52,11 @@ SUMMARY_HEADER = (
 
 
 def build_env_factory(config: BenchmarkConfig) -> Callable[[int], Environment]:
-    """Environment factory honoring the run horizon; raises ConfigError."""
+    """Environment factory honoring the run horizon; raises ConfigError.
+
+    The factory pickles, so worker processes get it as built here (a dataset
+    is read once per run, not once per cell).
+    """
     env = dict(config.environment)
     name = env.pop("name")
     constant = env.pop("constant_feature", False)
@@ -57,20 +65,20 @@ def build_env_factory(config: BenchmarkConfig) -> Callable[[int], Environment]:
         env["horizon"] = run_horizon
     try:
         if name == "wheel":
-            cfg = WheelConfig(**env)
-            factory = lambda seed: WheelBandit(cfg, seed)
+            factory = functools.partial(WheelBandit, WheelConfig(**env))
         elif name == "linear":
-            cfg = LinearConfig(**env)
-            factory = lambda seed: SampledLinearBandit(cfg, seed)
+            factory = functools.partial(SampledLinearBandit, LinearConfig(**env))
         else:
-            spec = DatasetSpec(**env)
-            base = dataset_load(spec)
-            factory = lambda seed: base.shuffled(seed)
+            factory = dataset_load(DatasetSpec(**env)).shuffled
     except (ValueError, OSError) as exc:
         raise ConfigError(f"environment setup failed: {exc}") from exc
     if constant:
-        return lambda seed: ConstantFeatureEnv(factory(seed))
+        return functools.partial(_with_constant_feature, factory)
     return factory
+
+
+def _with_constant_feature(factory: Callable[[int], Environment], seed: int) -> Environment:
+    return ConstantFeatureEnv(factory(seed))
 
 
 def _agent_specs(config: BenchmarkConfig) -> list[AgentSpec]:
@@ -91,16 +99,18 @@ def _resolve_horizon(config: BenchmarkConfig, probe: Environment) -> int:
     return horizon
 
 
-def _run_one(
-    config: BenchmarkConfig, preset_name: str, overrides: dict, trial: int
+def _run_cell(
+    config: BenchmarkConfig,
+    horizon: int,
+    env_factory: Callable[[int], Environment],
+    cell: tuple[AgentSpec, int],
 ) -> tuple[RegretTrace, float]:
-    """One (agent, trial) cell; self-contained so it can run in a worker."""
-    env_factory = build_env_factory(config)
+    """One (agent, trial) cell and its wall time; runs in a worker as is."""
+    spec, trial = cell
     seed = config.run.seed + trial
     env = env_factory(seed)
-    horizon = _resolve_horizon(config, env)
-    agent = get_preset(preset_name).make(
-        env.dim, env.num_actions, horizon, seed, overrides
+    agent = get_preset(spec.preset).make(
+        env.dim, env.num_actions, horizon, seed, spec.overrides
     )
     start = time.perf_counter()
     trace = run_trial(env, agent, seed, horizon, WARMUP_PULLS)
@@ -129,36 +139,18 @@ def run_benchmark(
     horizon = _resolve_horizon(config, probe)
     trials = config.run.trials
 
+    cell = functools.partial(_run_cell, config, horizon, env_factory)
+    cells = [(spec, t) for spec in specs for t in range(trials)]
     reports: list[ExperimentReport] = []
-    if config.run.workers > 1:
-        tasks = [(ai, t) for ai in range(len(specs)) for t in range(trials)]
-        cells: dict[tuple[int, int], tuple[RegretTrace, float]] = {}
-        with concurrent.futures.ProcessPoolExecutor(config.run.workers) as pool:
-            futures = {
-                pool.submit(_run_one, config, specs[ai].preset, specs[ai].overrides, t): (ai, t)
-                for ai, t in tasks
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                cells[futures[fut]] = fut.result()
-        for ai, spec in enumerate(specs):
-            traces = [cells[(ai, t)][0] for t in range(trials)]
-            wall = sum(cells[(ai, t)][1] for t in range(trials))
-            reports.append(report_from_traces(traces, config.run.seed, wall))
-            say(f"{spec.preset}: mean cumulative regret "
-                f"{reports[-1].mean_cum_regret:.4f} ({trials} trials, {wall:.1f}s)")
-    else:
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if config.run.workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(config.run.workers)
+            mapper = stack.enter_context(pool).map
+        results = mapper(cell, cells)
         for spec in specs:
-            traces = []
-            wall = 0.0
-            for t in range(trials):
-                seed = config.run.seed + t
-                env = env_factory(seed)
-                agent = get_preset(spec.preset).make(
-                    env.dim, env.num_actions, horizon, seed, spec.overrides
-                )
-                start = time.perf_counter()
-                traces.append(run_trial(env, agent, seed, horizon, WARMUP_PULLS))
-                wall += time.perf_counter() - start
+            traces, walls = zip(*itertools.islice(results, trials))
+            wall = sum(walls)
             reports.append(report_from_traces(traces, config.run.seed, wall))
             say(f"{spec.preset}: mean cumulative regret "
                 f"{reports[-1].mean_cum_regret:.4f} ({trials} trials, {wall:.1f}s)")
@@ -204,16 +196,17 @@ def emit_results(result: BenchmarkResult, out_dir) -> list[Path]:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
-    lines = [SUMMARY_HEADER]
-    for raw, norm in result.report_pairs():
-        lines.append(
-            f"{raw.agent},{raw.environment},{_fmt(raw.mean_cum_regret)},"
-            f"{_fmt(raw.stderr_cum)},{_fmt(raw.mean_simple_regret)},"
-            f"{_fmt(raw.stderr_simple)},{_fmt(norm.mean_cum_regret)},"
-            f"{_fmt(norm.mean_simple_regret)},{_fmt(raw.wall_time_seconds)}"
-        )
     path = out / "summary.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        # QUOTE_MINIMAL quotes only cells holding a comma or a quote, such as
+        # the linear bandit's "linear(d=30,k=20)".
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER.split(","))
+        for raw, norm in result.report_pairs():
+            numbers = (raw.mean_cum_regret, raw.stderr_cum, raw.mean_simple_regret,
+                       raw.stderr_simple, norm.mean_cum_regret, norm.mean_simple_regret,
+                       raw.wall_time_seconds)
+            writer.writerow([raw.agent, raw.environment, *map(_fmt, numbers)])
     written.append(path)
     return written
 

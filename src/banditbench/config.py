@@ -214,10 +214,10 @@ def parse_config(text: str) -> BenchmarkConfig:
         elif section == "agent":
             schema = PRESETS[agents[-1].preset].params
             if key not in schema:
-                raise ConfigError(
-                    f"preset {agents[-1].preset!r} does not accept key {key!r}",
-                    line_no,
-                )
+                reason = f"preset {agents[-1].preset!r} does not accept key {key!r}"
+                if key == "intercept":
+                    reason += "; set constant_feature = true in [environment] for an intercept"
+                raise ConfigError(reason, line_no)
             current[key] = _convert(value, schema[key], key, line_no)
         else:  # run
             if key not in _RUN_SCHEMA:

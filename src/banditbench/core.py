@@ -215,10 +215,6 @@ class UniformAgent(Agent):
         return None
 
 
-def uniform_agent(num_actions: int) -> UniformAgent:
-    return UniformAgent(num_actions)
-
-
 def _trial_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Two independent generators per trial: reward realization and agent draws.
 
@@ -284,6 +280,11 @@ def run_trial(
             a = int(a)
 
         r = float(env.realize_reward(t, a, env_rng))
+        if not math.isfinite(r):
+            raise ContractViolation(
+                f"environment {env.name!r} realized reward {r!r} for agent "
+                f"{agent.name!r} at step {t}"
+            )
         actions[t] = a
         realized[t] = r
         expected[t] = env.expected_reward(t, a)
@@ -292,6 +293,12 @@ def run_trial(
         agent.observe(Observation(context=x, action=a, reward=r))
         agent.maybe_train(t - warmup_len)
 
+    bad = ~(np.isfinite(expected) & np.isfinite(optimal))
+    if bad.any():
+        raise ContractViolation(
+            f"environment {env.name!r} gave a non-finite expected reward for agent "
+            f"{agent.name!r} at step {int(np.argmax(bad))}"
+        )
     return RegretTrace(
         agent=agent.name,
         environment=env.name,
@@ -320,7 +327,6 @@ class ExperimentReport:
     stderr_cum: float
     mean_simple_regret: float
     stderr_simple: float
-    single_trial: bool
     normalized: bool = False
 
 
@@ -360,11 +366,10 @@ def report_from_traces(
         raise ValueError("no traces")
     cum = np.array([cumulative_regret(t) for t in traces])
     simp = np.array([simple_regret(t) for t in traces])
-    n = len(traces)
     return ExperimentReport(
         agent=traces[0].agent,
         environment=traces[0].environment,
-        trials=n,
+        trials=len(traces),
         base_seed=base_seed,
         horizon=len(traces[0]),
         cum_regrets=cum,
@@ -375,7 +380,6 @@ def report_from_traces(
         stderr_cum=standard_error(cum),
         mean_simple_regret=float(np.mean(simp)),
         stderr_simple=standard_error(simp),
-        single_trial=(n == 1),
     )
 
 

@@ -302,10 +302,6 @@ class DatasetBandit(Environment):
         )
 
 
-def shuffle_for_trial(bandit: DatasetBandit, seed: int) -> DatasetBandit:
-    return bandit.shuffled(seed)
-
-
 class ConstantFeatureEnv(Environment):
     """Wrapper appending a constant 1.0 coordinate to every context.
 

@@ -171,7 +171,11 @@ class FixedNoiseLinearPosterior(_RidgePosterior):
 
 
 class PerActionLinearModel:
-    """One independent posterior per action over (optionally augmented) contexts."""
+    """One independent posterior per action over the raw contexts.
+
+    The models are homogeneous; to fit a reward baseline, build the
+    environment with ``constant_feature = true`` (``ConstantFeatureEnv``).
+    """
 
     def __init__(
         self,
@@ -182,33 +186,22 @@ class PerActionLinearModel:
         a0: float = 6.0,
         b0: float = 6.0,
         sigma_sq: Optional[float] = None,
-        intercept: bool = False,
     ):
         if num_actions < 1:
             raise ValueError("num_actions must be positive")
         self.dim = dim
         self.num_actions = num_actions
-        self.intercept = intercept
-        self.feature_dim = dim + 1 if intercept else dim
         if sigma_sq is None:
             self.posteriors = [
-                NIGLinearPosterior(self.feature_dim, ridge, a0, b0)
-                for _ in range(num_actions)
+                NIGLinearPosterior(dim, ridge, a0, b0) for _ in range(num_actions)
             ]
         else:
             self.posteriors = [
-                FixedNoiseLinearPosterior(self.feature_dim, ridge, sigma_sq)
-                for _ in range(num_actions)
+                FixedNoiseLinearPosterior(dim, ridge, sigma_sq) for _ in range(num_actions)
             ]
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.intercept:
-            return np.concatenate([x, [1.0]])
-        return x
-
     def update(self, x: np.ndarray, action: int, reward: float) -> None:
-        self.posteriors[action].update(self.features(x), reward)
+        self.posteriors[action].update(x, reward)
 
 
 def linear_ts_choose(
@@ -216,12 +209,11 @@ def linear_ts_choose(
     approximation: str = "exact",
 ) -> int:
     """Sample every action's parameters and act greedily on the samples."""
-    phi = model.features(x)
     scores = np.empty(model.num_actions)
     for a, post in enumerate(model.posteriors):
         sampled = post.sample(rng, approximation)
         beta = sampled[0] if isinstance(sampled, tuple) else sampled
-        scores[a] = float(beta @ phi)
+        scores[a] = float(beta @ x)
     return int(np.argmax(scores))
 
 
@@ -232,8 +224,7 @@ def linear_greedy_choose(
     """Argmax of the posterior-mean predictions, with epsilon exploration."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(model.num_actions))
-    phi = model.features(x)
-    scores = np.array([float(p.mean @ phi) for p in model.posteriors])
+    scores = np.array([float(p.mean @ x) for p in model.posteriors])
     return int(np.argmax(scores))
 
 
@@ -256,14 +247,12 @@ class LinearThompsonAgent(Agent):
         b0: float = 6.0,
         sigma_sq: Optional[float] = None,
         approximation: str = "exact",
-        intercept: bool = False,
         name: str = "LinTS",
     ):
         if approximation not in APPROXIMATIONS:
             raise ValueError(f"approximation must be one of {APPROXIMATIONS}")
         self.model = PerActionLinearModel(
-            dim, num_actions, ridge=ridge, a0=a0, b0=b0,
-            sigma_sq=sigma_sq, intercept=intercept,
+            dim, num_actions, ridge=ridge, a0=a0, b0=b0, sigma_sq=sigma_sq
         )
         self.approximation = approximation
         self.name = name
@@ -286,14 +275,11 @@ class LinearGreedyAgent(Agent):
         ridge: float = 0.25,
         sigma_sq: float = 0.25,
         epsilon: float = 0.0,
-        intercept: bool = False,
         name: str = "LinGreedy",
     ):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        self.model = PerActionLinearModel(
-            dim, num_actions, ridge=ridge, sigma_sq=sigma_sq, intercept=intercept,
-        )
+        self.model = PerActionLinearModel(dim, num_actions, ridge=ridge, sigma_sq=sigma_sq)
         self.epsilon = epsilon
         self.name = name
 

@@ -11,13 +11,21 @@ differences and reused by the reparameterized variational nets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
 
+SeedLike = Union[int, np.random.SeedSequence]
+
 RESET_POLICIES = ("fixed", "reset-each-period", "decay-across-periods")
+
+
+def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 @dataclass
@@ -93,6 +101,37 @@ def make_dropout_masks(
     ]
 
 
+def _hidden_layers(
+    net: MLP,
+    X: np.ndarray,
+    dropout_masks: Optional[list[np.ndarray]] = None,
+    p_keep: float = 1.0,
+    cache: Optional[list[dict]] = None,
+) -> np.ndarray:
+    """Post-activation output of the last hidden layer, appending each hidden
+    layer's backprop values to ``cache`` when one is given."""
+    a = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for l in range(net.num_layers - 1):
+        z = a @ net.weights[l] + net.biases[l]
+        step = {"inp": a}
+        if net.layer_norm:
+            mu = z.mean(axis=1, keepdims=True)
+            xc = z - mu
+            var = np.mean(xc * xc, axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+            xhat = xc * inv
+            z = net.gains[l] * xhat + net.shifts[l]
+            step["xhat"], step["inv"] = xhat, inv
+        a = np.maximum(z, 0.0)
+        if dropout_masks is not None:
+            a = a * dropout_masks[l] / p_keep
+            step["drop"] = dropout_masks[l] / p_keep
+        if cache is not None:
+            step["relu"] = (z > 0).astype(np.float64)
+            cache.append(step)
+    return a
+
+
 def mlp_forward(
     net: MLP,
     X: np.ndarray,
@@ -105,34 +144,10 @@ def mlp_forward(
     for plain nets; dropout masks, if given, zero hidden outputs and rescale
     the survivors by 1/p_keep (inverted dropout).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    a = X
     cache: list[dict] = []
-    last = net.num_layers - 1
-    for l in range(net.num_layers):
-        z = a @ net.weights[l] + net.biases[l]
-        step = {"inp": a}
-        if l == last:
-            a = z
-            cache.append(step)
-            break
-        if net.layer_norm:
-            mu = z.mean(axis=1, keepdims=True)
-            xc = z - mu
-            var = np.mean(xc * xc, axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-            xhat = xc * inv
-            z = net.gains[l] * xhat + net.shifts[l]
-            step["xhat"], step["inv"] = xhat, inv
-        relu_mask = (z > 0).astype(np.float64)
-        h = z * relu_mask
-        step["relu"] = relu_mask
-        if dropout_masks is not None:
-            h = h * dropout_masks[l] / p_keep
-            step["drop"] = dropout_masks[l] / p_keep
-        a = h
-        cache.append(step)
-    return a, cache
+    a = _hidden_layers(net, X, dropout_masks, p_keep, cache)
+    cache.append({"inp": a})
+    return a @ net.weights[-1] + net.biases[-1], cache
 
 
 def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
@@ -142,17 +157,7 @@ def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
 
 def hidden_features(net: MLP, X: np.ndarray) -> np.ndarray:
     """Post-activation output of the last hidden layer (batched)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    a = X
-    for l in range(net.num_layers - 1):
-        z = a @ net.weights[l] + net.biases[l]
-        if net.layer_norm:
-            mu = z.mean(axis=1, keepdims=True)
-            xc = z - mu
-            inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=1, keepdims=True) + LAYER_NORM_EPS)
-            z = net.gains[l] * (xc * inv) + net.shifts[l]
-        a = np.maximum(z, 0.0)
-    return a
+    return _hidden_layers(net, X)
 
 
 def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> list[np.ndarray]:

@@ -14,16 +14,17 @@ decision steps.  They differ in where decision-time randomness comes from:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Agent, HistoryBuffer, Observation
 from .linear import NIGLinearPosterior
 from .mlp import (
-    MLP,
     RMSProp,
+    SeedLike,
     TrainingSchedule,
+    _seed_sequence,
     hidden_features,
     make_dropout_masks,
     masked_mse,
@@ -35,14 +36,6 @@ from .mlp import (
 )
 
 DEFAULT_HIDDEN = (100, 100)
-
-SeedLike = Union[int, np.random.SeedSequence]
-
-
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 class TrainableNet:

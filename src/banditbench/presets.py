@@ -38,19 +38,13 @@ def rms3_schedule(**kw) -> TrainingSchedule:
 
 _SCHEDULES = {"rms1": rms1_schedule, "rms2": rms2_schedule, "rms3": rms3_schedule}
 
-_SCHED_KEYS: Mapping[str, type] = {
-    "train_every": int,
-    "batches_per_period": int,
-    "batch_size": int,
-    "lr_init": float,
-    "lr_decay": float,
-}
-
 _CADENCE_KEYS: Mapping[str, type] = {
     "train_every": int,
     "batches_per_period": int,
     "batch_size": int,
 }
+
+_SCHED_KEYS: Mapping[str, type] = {**_CADENCE_KEYS, "lr_init": float, "lr_decay": float}
 
 
 @dataclass(frozen=True)
@@ -80,34 +74,29 @@ def _ridge(ov: dict, default: float = 0.25) -> float:
     return ov.pop("lambda", ov.pop("ridge", default))
 
 
-def _schedule(kind: str, ov: dict, **defaults) -> TrainingSchedule:
+def _cadence(ov: dict, keys: Mapping[str, type] = _CADENCE_KEYS, **defaults) -> dict:
+    """``defaults`` updated with the given ``keys`` popped from the overrides."""
     kw = dict(defaults)
-    for key in _SCHED_KEYS:
-        if key in ov:
-            kw[key] = ov.pop(key)
-    return _SCHEDULES[kind](**kw)
-
-
-def _cadence(ov: dict, **defaults) -> dict:
-    kw = dict(defaults)
-    for key in _CADENCE_KEYS:
+    for key in keys:
         if key in ov:
             kw[key] = ov.pop(key)
     return kw
 
 
-_LINEAR_FIXED_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float, "intercept": bool}
-_LINEAR_NIG_KEYS = {"lambda": float, "ridge": float, "a0": float, "b0": float, "intercept": bool}
-_LINEAR_GREEDY_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float,
-                       "epsilon": float, "intercept": bool}
+def _schedule(kind: str, ov: dict, **defaults) -> TrainingSchedule:
+    return _SCHEDULES[kind](**_cadence(ov, _SCHED_KEYS, **defaults))
+
+
+_LINEAR_FIXED_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float}
+_LINEAR_NIG_KEYS = {"lambda": float, "ridge": float, "a0": float, "b0": float}
+_LINEAR_GREEDY_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float, "epsilon": float}
 
 
 def _fixed_noise_ts(name: str, approximation: str, summary: str) -> Preset:
     def build(dim, k, horizon, seed, ov):
         return LinearThompsonAgent(
             dim, k, ridge=_ridge(ov), sigma_sq=ov.pop("sigma_sq", 0.25),
-            approximation=approximation, intercept=ov.pop("intercept", False),
-            name=name,
+            approximation=approximation, name=name,
         )
     return Preset(name, summary, _LINEAR_FIXED_KEYS, build)
 
@@ -116,8 +105,7 @@ def _nig_ts(name: str, approximation: str, summary: str) -> Preset:
     def build(dim, k, horizon, seed, ov):
         return LinearThompsonAgent(
             dim, k, ridge=_ridge(ov), a0=ov.pop("a0", 6.0), b0=ov.pop("b0", 6.0),
-            sigma_sq=None, approximation=approximation,
-            intercept=ov.pop("intercept", False), name=name,
+            sigma_sq=None, approximation=approximation, name=name,
         )
     return Preset(name, summary, _LINEAR_NIG_KEYS, build)
 
@@ -126,8 +114,7 @@ def _lin_greedy(name: str, epsilon: float, summary: str) -> Preset:
     def build(dim, k, horizon, seed, ov):
         return LinearGreedyAgent(
             dim, k, ridge=_ridge(ov), sigma_sq=ov.pop("sigma_sq", 0.25),
-            epsilon=ov.pop("epsilon", epsilon),
-            intercept=ov.pop("intercept", False), name=name,
+            epsilon=ov.pop("epsilon", epsilon), name=name,
         )
     return Preset(name, summary, _LINEAR_GREEDY_KEYS, build)
 

@@ -13,22 +13,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Agent, HistoryBuffer, Observation
-from .mlp import MLP, RMSProp, masked_mse, mlp_backward, mlp_forward, mlp_init, mlp_predict
+from .mlp import (
+    MLP,
+    RMSProp,
+    SeedLike,
+    TrainingSchedule,
+    _seed_sequence,
+    masked_mse,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+    mlp_predict,
+)
 
 DIAG_FLOOR = 1e-10
-
-SeedLike = Union[int, np.random.SeedSequence]
-
-
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 class FisherEMA:
@@ -114,16 +117,19 @@ def const_sgd_step(
     data_count: int,
     cfg: ConstSGDConfig = ConstSGDConfig(),
     rng: Optional[np.random.Generator] = None,
+    skip_noise: bool = False,
 ) -> None:
     """theta -= eps_i * g with per-parameter eps_i = 2 (S/N) / diag_i.
 
     The batch-to-data ratio S/N and the inverse EMA diagonal give the step
     size under which plain SGD's stationary distribution matches the target
-    scale.  An optional sqrt(eps)-shaped Gaussian term can be injected.
+    scale.  An optional sqrt(eps)-shaped Gaussian term can be injected; as in
+    ``sgfs_step``, it is omitted during burn-in (``skip_noise``) or when the
+    noise scale is zero, and then no random draws are consumed.
     """
     if data_count < 1 or batch_size < 1:
         raise ValueError("batch_size and data_count must be positive")
-    inject = cfg.noise_scale > 0.0
+    inject = not skip_noise and cfg.noise_scale > 0.0
     if inject and rng is None:
         raise ValueError("rng required when noise is enabled")
     ratio = 2.0 * batch_size / data_count
@@ -151,8 +157,7 @@ class _SGChainAgent(Agent):
         hidden: Sequence[int],
         name: str,
     ):
-        if train_every < 1 or batches_per_period < 1 or batch_size < 1:
-            raise ValueError("cadence counts must be positive")
+        self.schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         init_ss, train_ss = _seed_sequence(seed).spawn(2)
@@ -160,9 +165,6 @@ class _SGChainAgent(Agent):
         self.ema = FisherEMA(self.net.parameters(), ema_decay)
         self.train_rng = np.random.default_rng(train_ss)
         self.buffer = HistoryBuffer(dim, num_actions)
-        self.train_every = train_every
-        self.batches_per_period = batches_per_period
-        self.batch_size = batch_size
         self.burn_in = burn_in
         self.batches_done = 0  # lifetime counter; burn-in is measured on it
         self.name = name
@@ -173,27 +175,24 @@ class _SGChainAgent(Agent):
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
 
-    def _due(self, step: int) -> bool:
-        return step >= 0 and step % self.train_every == 0 and len(self.buffer) > 0
-
     def _batch_grads(self) -> list[np.ndarray]:
         n = len(self.buffer)
-        idx = self.train_rng.integers(0, n, size=self.batch_size)
+        idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
         out, cache = mlp_forward(self.net, self.buffer.contexts[idx])
         _, dout = masked_mse(out, self.buffer.actions[idx], self.buffer.rewards[idx])
         return mlp_backward(self.net, cache, dout)
 
     def maybe_train(self, step: int) -> None:
-        if not self._due(step):
+        if not self.schedule.due(step, len(self.buffer)):
             return
         params = self.net.parameters()
-        for _ in range(self.batches_per_period):
+        for _ in range(self.schedule.batches_per_period):
             grads = self._batch_grads()
             self.ema.update(grads)
-            self._apply(params, grads, len(self.buffer))
+            self._apply(params, grads, len(self.buffer), self.batches_done < self.burn_in)
             self.batches_done += 1
 
-    def _apply(self, params, grads, data_count) -> None:
+    def _apply(self, params, grads, data_count, skip_noise) -> None:
         raise NotImplementedError
 
 
@@ -224,11 +223,8 @@ class SGFSAgent(_SGChainAgent):
         )
         self.cfg = SGFSConfig(step_size=step_size, noise_scale=noise_scale)
 
-    def _apply(self, params, grads, data_count) -> None:
-        sgfs_step(
-            params, grads, self.ema, data_count, self.cfg,
-            rng=self.train_rng, skip_noise=self.batches_done < self.burn_in,
-        )
+    def _apply(self, params, grads, data_count, skip_noise) -> None:
+        sgfs_step(params, grads, self.ema, data_count, self.cfg, self.train_rng, skip_noise)
 
 
 class ConstSGDAgent(_SGChainAgent):
@@ -257,16 +253,11 @@ class ConstSGDAgent(_SGChainAgent):
         )
         self.cfg = ConstSGDConfig(noise_scale=noise_scale)
 
-    def _apply(self, params, grads, data_count) -> None:
+    def _apply(self, params, grads, data_count, skip_noise) -> None:
         # Burn-in for plain constant SGD means "optimize first"; the update
         # rule is the same either way unless noise injection is enabled.
-        rng = self.train_rng if self.cfg.noise_scale > 0 else None
-        if self.batches_done < self.burn_in and self.cfg.noise_scale > 0:
-            const_sgd_step(params, grads, self.ema, self.batch_size, data_count,
-                           ConstSGDConfig(noise_scale=0.0, diag_floor=self.cfg.diag_floor))
-        else:
-            const_sgd_step(params, grads, self.ema, self.batch_size, data_count,
-                           self.cfg, rng)
+        const_sgd_step(params, grads, self.ema, self.schedule.batch_size, data_count,
+                       self.cfg, self.train_rng, skip_noise)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -422,8 +413,7 @@ class BayesByBackpropAgent(Agent):
         hidden: Sequence[int] = (100, 100),
         name: str = "BBB",
     ):
-        if train_every < 1 or batches_per_period < 1 or batch_size < 1:
-            raise ValueError("cadence counts must be positive")
+        self.schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
         if lr <= 0:
             raise ValueError("lr must be positive")
         init_ss, train_ss = _seed_sequence(seed).spawn(2)
@@ -435,16 +425,13 @@ class BayesByBackpropAgent(Agent):
         self.buffer = HistoryBuffer(dim, num_actions)
         self.noise_sigma = noise_sigma
         self.lr = lr
-        self.train_every = train_every
-        self.batches_per_period = batches_per_period
-        self.batch_size = batch_size
         self.ramp_initial = ramp_initial
         self.ramp_periods = ramp_periods
         self.period = 0
         self.name = name
 
     def _period_batches(self) -> int:
-        final = self.batches_per_period
+        final = self.schedule.batches_per_period
         if self.ramp_initial is None or self.period >= self.ramp_periods:
             return final
         ramped = round(
@@ -461,12 +448,12 @@ class BayesByBackpropAgent(Agent):
         self.buffer.append(obs)
 
     def maybe_train(self, step: int) -> None:
-        if not (step >= 0 and step % self.train_every == 0 and len(self.buffer) > 0):
+        if not self.schedule.due(step, len(self.buffer)):
             return
         n = len(self.buffer)
         params = self.vnet.parameters()
         for _ in range(self._period_batches()):
-            idx = self.train_rng.integers(0, n, size=self.batch_size)
+            idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
             _, _, grads = bbb_loss_and_grads(
                 self.vnet,
                 self.buffer.contexts[idx],

@@ -1,8 +1,11 @@
 """Config parsing, the benchmark runner, result files, and the CLI."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from banditbench import bench
 from banditbench.bench import (
     SUMMARY_HEADER,
     build_env_factory,
@@ -13,7 +16,7 @@ from banditbench.bench import (
 )
 from banditbench.cli import main
 from banditbench.config import ConfigError, load_config, parse_config
-from banditbench.envs import ConstantFeatureEnv
+from banditbench.envs import ConstantFeatureEnv, dataset_load
 
 GOOD = """\
 # tiny wheel benchmark
@@ -68,6 +71,8 @@ def test_parse_errors_carry_line_numbers():
     assert e.line == 5 and "duplicate agent block" in str(e)
     e = err('[environment]\nname=wheel\ndelta=0.5\n[agent "LinGreedy"]\nq=3\n')
     assert e.line == 5 and "does not accept key" in str(e)
+    e = err('[environment]\nname=wheel\ndelta=0.5\n[agent "LinPost"]\nintercept=true\n')
+    assert e.line == 5 and "constant_feature" in str(e)
     e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\nfoo=1\n")
     assert e.line == 5 and "unknown [run] key" in str(e)
     e = err("[wat]\n")
@@ -244,13 +249,50 @@ def test_emit_results_files_and_rerun_determinism(tmp_path):
     assert len(curve) == 31
 
 
+def test_summary_quotes_an_environment_name_with_a_comma(tmp_path):
+    cfg = parse_config(
+        "[environment]\nname=linear\ndim=3\nnum_actions=2\nhorizon=20\n"
+        '[agent "LinPost"]\n[run]\ntrials=1\n'
+    )
+    emit_results(run_benchmark(cfg), tmp_path)
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(row) == 9 for row in rows)
+    assert rows[1][1] == "linear(d=3,k=2)"
+
+
+def test_serial_dataset_run_reads_the_file_once(tmp_path, monkeypatch):
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{i}.0,{'ab'[i % 2]}\n" for i in range(30)), encoding="utf-8")
+    loads = []
+
+    def counting_load(spec):
+        loads.append(spec)
+        return dataset_load(spec)
+
+    monkeypatch.setattr(bench, "dataset_load", counting_load)
+    cfg = parse_config(
+        f"[environment]\nname=dataset\npath={data}\nreward_rule=classification\n"
+        "header=false\nlabel_column=1\nnumeric_columns=0\ncategorical_columns=\n"
+        '[agent "LinGreedy"]\n[run]\ntrials=2\nhorizon=20\n'
+    )
+    result = run_benchmark(cfg)
+    assert [r.trials for r in result.reports] == [2, 2]
+    assert len(loads) == 1
+
+
 def test_parallel_workers_match_serial(tmp_path):
     base = (
-        "[environment]\nname=wheel\ndelta=0.5\nhorizon=40\n"
-        '[agent "LinGreedy"]\n[run]\ntrials=2\nseed=0\nworkers={w}\n'
+        "[environment]\nname=wheel\ndelta=0.5\nhorizon=40\nconstant_feature=true\n"
+        '[agent "LinGreedy"]\n'
+        '[agent "SGFS"]\ntrain_every=5\nbatches_per_period=2\nbatch_size=8\nburn_in=2\n'
+        '[agent "BBB"]\ntrain_every=5\nbatches_per_period=2\nbatch_size=8\nramp_initial=3\n'
+        "[run]\ntrials=2\nseed=0\nworkers={w}\n"
     )
     serial = run_benchmark(parse_config(base.format(w=1)))
     parallel = run_benchmark(parse_config(base.format(w=2)))
+    assert len(serial.reports) == len(parallel.reports) == 4
     for rs, rp in zip(serial.reports, parallel.reports):
         assert rs.agent == rp.agent
         np.testing.assert_array_equal(rs.cum_regrets, rp.cum_regrets)

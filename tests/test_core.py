@@ -182,6 +182,18 @@ def test_invalid_context_is_a_contract_violation():
         run_trial(env, RecordingAgent(), seed=0, warmup_pulls=0)
 
 
+@pytest.mark.parametrize("method", ["realize_reward", "optimal_expected_reward"])
+def test_non_finite_reward_is_a_contract_violation(method):
+    env = TableEnv(seed=1, horizon=8)
+    inner = getattr(env, method)
+    setattr(env, method, lambda t, *rest: float("nan") if t == 5 else inner(t, *rest))
+    agent = RecordingAgent()
+    with pytest.raises(ContractViolation, match=r"'table'.*'recorder' at step 5$"):
+        run_trial(env, agent, seed=0, warmup_pulls=0)
+    if method == "realize_reward":
+        assert len(agent.observed) == 5  # the agent never saw the NaN
+
+
 def test_horizon_validation_and_truncation():
     env = TableEnv(seed=0, horizon=30)
     with pytest.raises(ValueError):
@@ -264,7 +276,7 @@ def test_run_experiment_aggregates_trials():
         trials=5,
         base_seed=100,
     )
-    assert report.trials == 5 and not report.single_trial
+    assert report.trials == 5
     assert report.cum_regrets.shape == (5,)
     assert report.mean_cum_regret == pytest.approx(np.mean(report.cum_regrets))
     assert report.stderr_cum == pytest.approx(standard_error(report.cum_regrets))
@@ -273,7 +285,7 @@ def test_run_experiment_aggregates_trials():
         lambda s: UniformAgent(4),
         trials=1,
     )
-    assert single.single_trial and single.stderr_cum == 0.0
+    assert single.trials == 1 and single.stderr_cum == 0.0
 
 
 def test_normalization_is_exactly_100_for_the_baseline():

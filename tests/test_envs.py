@@ -13,7 +13,6 @@ from banditbench import (
     dataset_load,
     jester_env,
     mushroom_env,
-    shuffle_for_trial,
 )
 from banditbench.envs import wheel_quadrant_action
 
@@ -365,9 +364,9 @@ def test_shuffle_is_deterministic_and_seed_sensitive(tmp_path):
             num_actions=2,
         )
     )
-    s1 = shuffle_for_trial(env, 7)
-    s2 = shuffle_for_trial(env, 7)
-    s3 = shuffle_for_trial(env, 8)
+    s1 = env.shuffled(7)
+    s2 = env.shuffled(7)
+    s3 = env.shuffled(8)
     np.testing.assert_array_equal(s1._contexts, s2._contexts)
     assert not np.array_equal(s1._contexts, s3._contexts)
     assert sorted(s1._contexts[:, 0]) == sorted(env._contexts[:, 0])

@@ -181,15 +181,6 @@ def test_sampled_covariance_follows_projection():
     )
 
 
-def test_intercept_augmentation():
-    model = PerActionLinearModel(2, 3, intercept=True)
-    phi = model.features(np.array([2.0, 3.0]))
-    np.testing.assert_array_equal(phi, [2.0, 3.0, 1.0])
-    assert model.posteriors[0].dim == 3
-    plain = PerActionLinearModel(2, 3)
-    assert plain.posteriors[0].dim == 2
-
-
 def test_update_touches_only_the_chosen_action():
     model = PerActionLinearModel(2, 3, sigma_sq=0.25)
     model.update(np.array([1.0, 0.0]), action=1, reward=2.0)
