@@ -146,7 +146,9 @@ def run_benchmark(
         mapper = map
         if config.run.workers > 1:
             pool = concurrent.futures.ProcessPoolExecutor(config.run.workers)
-            mapper = stack.enter_context(pool).map
+            # on a failure, drop the queued cells instead of running them all
+            stack.callback(pool.shutdown, cancel_futures=True)
+            mapper = pool.map
         results = mapper(cell, cells)
         for spec in specs:
             traces, walls = zip(*itertools.islice(results, trials))

@@ -8,6 +8,7 @@ the harness passes in.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -232,6 +233,13 @@ class DatasetSpec:
     def __post_init__(self):
         if self.reward_rule not in REWARD_RULES:
             raise ValueError(f"reward_rule must be one of {REWARD_RULES}")
+        # csv.reader takes one character, and would misread a quote or a
+        # line break as the delimiter
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ValueError(
+                f"delimiter must be one character, not a quote or line break: "
+                f"{self.delimiter!r}"
+            )
 
 
 class DatasetBandit(Environment):
@@ -340,17 +348,17 @@ class ConstantFeatureEnv(Environment):
 
 
 def _read_rows(spec: DatasetSpec) -> tuple[list[list[str]], dict]:
-    with open(spec.path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
-    if not lines:
+    """Stripped cells of every non-blank line, and the header's name -> column."""
+    with open(spec.path, "r", encoding="utf-8", newline="") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    reader = csv.reader(lines, delimiter=spec.delimiter, skipinitialspace=True)
+    rows = [[cell.strip() for cell in row] for row in reader]
+    if not rows:
         raise ValueError(f"{spec.path} is empty")
     names: dict = {}
     if spec.header:
-        for i, nm in enumerate(lines[0].split(spec.delimiter)):
-            names[nm.strip()] = i
-        lines = lines[1:]
-    rows = [[cell.strip() for cell in ln.split(spec.delimiter)] for ln in lines]
+        names = {nm: i for i, nm in enumerate(rows[0])}
+        rows = rows[1:]
     return rows, names
 
 

@@ -314,10 +314,11 @@ class ParameterNoiseAgent(Agent):
 class NeuralLinearAgent(Agent):
     """Exact Bayesian linear regression on learned last-layer features.
 
-    Between training periods the per-action Normal-Inverse-Gamma heads update
-    online with the current features.  After the net trains, every head is
-    rebuilt from its prior on freshly recomputed features for the whole
-    history, so the heads never mix features from different network epochs.
+    Between training periods the per-action Normal-Inverse-Gamma heads (one
+    posterior with an arm per action) update online with the current
+    features.  After the net trains, the heads are rebuilt from their prior on
+    freshly recomputed features for the whole history, so they never mix
+    features from different network epochs.
     """
 
     def __init__(
@@ -341,11 +342,11 @@ class NeuralLinearAgent(Agent):
         self.bias_feature = bias_feature
         self.feature_dim = hidden[-1] + (1 if bias_feature else 0)
         self._prior = (ridge, a0, b0)
-        self.heads = [
-            NIGLinearPosterior(self.feature_dim, ridge, a0, b0)
-            for _ in range(num_actions)
-        ]
+        self.heads = self._prior_heads()
         self.name = name
+
+    def _prior_heads(self) -> NIGLinearPosterior:
+        return NIGLinearPosterior(self.feature_dim, *self._prior, arms=(self.num_actions,))
 
     def _featurize(self, X: np.ndarray) -> np.ndarray:
         Z = hidden_features(self.core.net, X)
@@ -354,28 +355,20 @@ class NeuralLinearAgent(Agent):
         return Z
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        z = self._featurize(context)[0]
-        scores = np.empty(self.num_actions)
-        for a, head in enumerate(self.heads):
-            beta, _ = head.sample(rng)
-            scores[a] = float(beta @ z)
-        return int(np.argmax(scores))
+        return int(np.argmax(self.heads.sample(rng)[0] @ self._featurize(context)[0]))
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
-        z = self._featurize(obs.context)[0]
-        self.heads[obs.action].update(z, obs.reward)
+        self.heads.update(self._featurize(obs.context)[0], obs.reward, obs.action)
 
     def _refresh_heads(self) -> None:
-        ridge, a0, b0 = self._prior
         Z = self._featurize(self.buffer.contexts)
         rewards = self.buffer.rewards
+        heads = self._prior_heads()
         for a in range(self.num_actions):
-            head = NIGLinearPosterior(self.feature_dim, ridge, a0, b0)
             idx = self.buffer.action_indices(a)
-            if len(idx):
-                head.batch_update(Z[idx], rewards[idx])
-            self.heads[a] = head
+            heads.batch_update(Z[idx], rewards[idx], a)
+        self.heads = heads
 
     def maybe_train(self, step: int) -> None:
         if self.core.schedule.due(step, len(self.buffer)):

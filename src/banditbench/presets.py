@@ -89,7 +89,7 @@ def _schedule(kind: str, ov: dict, **defaults) -> TrainingSchedule:
 
 _LINEAR_FIXED_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float}
 _LINEAR_NIG_KEYS = {"lambda": float, "ridge": float, "a0": float, "b0": float}
-_LINEAR_GREEDY_KEYS = {"lambda": float, "ridge": float, "sigma_sq": float, "epsilon": float}
+_LINEAR_GREEDY_KEYS = {"lambda": float, "ridge": float, "epsilon": float}
 
 
 def _fixed_noise_ts(name: str, approximation: str, summary: str) -> Preset:
@@ -113,8 +113,7 @@ def _nig_ts(name: str, approximation: str, summary: str) -> Preset:
 def _lin_greedy(name: str, epsilon: float, summary: str) -> Preset:
     def build(dim, k, horizon, seed, ov):
         return LinearGreedyAgent(
-            dim, k, ridge=_ridge(ov), sigma_sq=ov.pop("sigma_sq", 0.25),
-            epsilon=ov.pop("epsilon", epsilon), name=name,
+            dim, k, ridge=_ridge(ov), epsilon=ov.pop("epsilon", epsilon), name=name,
         )
     return Preset(name, summary, _LINEAR_GREEDY_KEYS, build)
 
@@ -210,7 +209,7 @@ _ALL = [
         "Uniform", "equal-probability random actions (normalization baseline)",
         {}, lambda dim, k, horizon, seed, ov: UniformAgent(k),
     ),
-    _lin_greedy("LinGreedy", 0.0, "greedy ridge regression, lambda=0.25, sigma^2=0.25"),
+    _lin_greedy("LinGreedy", 0.0, "greedy ridge regression, lambda=0.25"),
     _lin_greedy("LinGreedy(eps=0.01)", 0.01, "LinGreedy exploring uniformly 1% of steps"),
     _lin_greedy("LinGreedy(eps=0.05)", 0.05, "LinGreedy exploring uniformly 5% of steps"),
     _fixed_noise_ts("LinPost", "exact", "linear Thompson, known noise, full covariance"),

@@ -1,6 +1,8 @@
 """Config parsing, the benchmark runner, result files, and the CLI."""
 
 import csv
+import functools
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +73,8 @@ def test_parse_errors_carry_line_numbers():
     assert e.line == 5 and "duplicate agent block" in str(e)
     e = err('[environment]\nname=wheel\ndelta=0.5\n[agent "LinGreedy"]\nq=3\n')
     assert e.line == 5 and "does not accept key" in str(e)
+    e = err('[environment]\nname=wheel\ndelta=0.5\n[agent "LinGreedy"]\nsigma_sq=0.5\n')
+    assert e.line == 5 and "does not accept key 'sigma_sq'" in str(e)
     e = err('[environment]\nname=wheel\ndelta=0.5\n[agent "LinPost"]\nintercept=true\n')
     assert e.line == 5 and "constant_feature" in str(e)
     e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\nfoo=1\n")
@@ -168,6 +172,12 @@ def test_build_env_factory_variants(tmp_path):
     )
     with pytest.raises(ConfigError):
         build_env_factory(missing)
+    two_char = parse_config(
+        f"[environment]\nname=dataset\npath={data}\nreward_rule=classification\n"
+        "delimiter=;;\n"
+    )
+    with pytest.raises(ConfigError, match="delimiter must be one character"):
+        build_env_factory(two_char)
 
 
 def test_run_benchmark_appends_uniform_and_pairs_trials():
@@ -299,6 +309,38 @@ def test_parallel_workers_match_serial(tmp_path):
         for ts, tp in zip(rs.traces, rp.traces):
             np.testing.assert_array_equal(ts.actions, tp.actions)
             np.testing.assert_array_equal(ts.realized_rewards, tp.realized_rewards)
+
+
+def _logged_trial(log, run_trial, env, agent, seed, *args):
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write(f"{agent.name} {seed}\n")
+    if agent.name == "LinGreedy" and seed == 0:
+        raise RuntimeError("the first cell fails")
+    time.sleep(0.2)
+    return run_trial(env, agent, seed, *args)
+
+
+def _failing_progress(message):
+    raise RuntimeError("progress fails")
+
+
+@pytest.mark.parametrize("first", ["LinGreedy", "LinPost"])
+def test_a_failure_cancels_the_queued_cells(first, tmp_path, monkeypatch):
+    # LinGreedy first: its first cell raises in a worker.  LinPost first: the
+    # cells succeed and the progress callback raises on the first report.
+    log = tmp_path / "cells.log"
+    monkeypatch.setattr(bench, "run_trial", functools.partial(_logged_trial, log, bench.run_trial))
+    names = [first] + [n for n in ("LinGreedy", "LinPost", "LinDiagPost", "LinFullPost",
+                                   "LinFullDiagPost") if n != first]
+    cfg = parse_config(
+        "[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
+        + "".join(f'[agent "{n}"]\n' for n in names)
+        + "[run]\ntrials=4\nseed=0\nworkers=2\n"
+    )
+    with pytest.raises(RuntimeError, match="fails"):
+        run_benchmark(cfg, _failing_progress)
+    started = log.read_text(encoding="utf-8").splitlines()
+    assert len(started) <= 12, started  # of 24 queued cells
 
 
 def test_sanitize_name():

@@ -336,6 +336,25 @@ def test_ragged_rows_rejected(tmp_path):
         )
 
 
+def test_quoted_cell_keeps_its_delimiter(tmp_path):
+    path = write(
+        tmp_path / "q.csv",
+        'x,label\n1.0,"cat,black"\n\n  \r\n2.0, "dog"\n3.0,"cat,black"\n',
+    )
+    env = dataset_load(
+        DatasetSpec(
+            path=path,
+            reward_rule="classification",
+            label_column="label",
+            numeric_columns=("x",),
+            categorical_columns=(),
+        )
+    )
+    assert env.num_actions == 2  # "cat,black" and "dog"
+    np.testing.assert_array_equal(env._contexts[:, 0], [1.0, 2.0, 3.0])
+    assert [env.expected_reward(t, 0) for t in range(3)] == [1.0, 0.0, 1.0]
+
+
 def test_unknown_column_name_rejected(tmp_path):
     path = write(tmp_path / "u.csv", "x,label\n1.0,a\n")
     with pytest.raises(ValueError, match="numeric"):
@@ -411,3 +430,9 @@ def test_empty_and_all_missing_files_rejected(tmp_path):
 def test_unknown_reward_rule_rejected(tmp_path):
     with pytest.raises(ValueError):
         DatasetSpec(path="x.csv", reward_rule="magic")
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", '"', "\n"])
+def test_delimiter_must_be_one_plain_character(delimiter):
+    with pytest.raises(ValueError, match="delimiter"):
+        DatasetSpec(path="x.csv", reward_rule="classification", delimiter=delimiter)

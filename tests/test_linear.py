@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditbench import (
     FixedNoiseLinearPosterior,
@@ -9,9 +11,7 @@ from banditbench import (
     LinearThompsonAgent,
     NIGLinearPosterior,
     Observation,
-    PerActionLinearModel,
 )
-from banditbench.linear import linear_greedy_choose, linear_ts_choose
 
 
 def direct_stats(X, Y, ridge, a0, b0):
@@ -51,6 +51,8 @@ def test_hyperparameter_validation():
         FixedNoiseLinearPosterior(dim=2, sigma_sq=-0.1)
     with pytest.raises(ValueError):
         NIGLinearPosterior(dim=0)
+    with pytest.raises(ValueError):
+        NIGLinearPosterior(dim=2, arms=(0,))
 
 
 def test_online_updates_match_direct_formulas():
@@ -85,6 +87,67 @@ def test_online_matches_batch_update():
     assert online.count == batch.count == 40
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    arms=st.integers(1, 4),
+    online=st.integers(0, 40),
+    batched=st.integers(0, 200),
+    scale=st.floats(1e-2, 1e3),
+)
+def test_stacked_arm_equals_a_single_posterior(seed, dim, arms, online, batched, scale):
+    rng = np.random.default_rng(seed)
+    n = online + batched
+    X = rng.standard_normal((n, dim)) + 2.0
+    Y = scale * rng.standard_normal(n)
+    actions = rng.integers(0, arms, size=n)
+    stacked = NIGLinearPosterior(dim, arms=(arms,))
+    singles = [NIGLinearPosterior(dim) for _ in range(arms)]
+    for x, y, a in zip(X[:online], Y[:online], actions[:online]):
+        stacked.update(x, float(y), a)
+        singles[a].update(x, float(y))
+    for a, single in enumerate(singles):
+        rows = online + np.flatnonzero(actions[online:] == a)
+        stacked.batch_update(X[rows], Y[rows], a)
+        single.batch_update(X[rows], Y[rows])
+    # one stacked draw consumes the stream as the arms' draws one after another
+    betas, sigma_sq = stacked.sample(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for a, single in enumerate(singles):
+        for name in ("precision", "bvec", "yy", "count", "mean"):
+            np.testing.assert_array_equal(getattr(stacked, name)[a], getattr(single, name))
+        assert stacked.b[a] == pytest.approx(single.b, rel=1e-10)
+        beta, s2 = single.sample(rng)
+        assert sigma_sq[a] == pytest.approx(s2, rel=1e-10)
+        np.testing.assert_allclose(betas[a], beta, rtol=1e-9, atol=1e-9 * np.abs(beta).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 10),
+    n=st.integers(1, 100_000),
+    scale=st.floats(1e-2, 1e3),
+    noise=st.sampled_from([0.0, 1e-3, 1.0]),
+    shift=st.floats(0.0, 3.0),
+)
+def test_b_matches_the_stable_residual_form(seed, dim, n, scale, noise, shift):
+    # yy - mu.bvec cancels catastrophically as n and the reward scale grow;
+    # b0 + (|Y - X mu|^2 + ridge |mu|^2) / 2 is the same quantity without it.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim)) + shift
+    Y = scale * (X @ rng.standard_normal(dim) + noise * rng.standard_normal(n))
+    post = NIGLinearPosterior(dim, ridge=0.25, a0=6.0, b0=6.0)
+    head = min(n, 50)
+    for x, y in zip(X[:head], Y[:head]):
+        post.update(x, float(y))
+    post.batch_update(X[head:], Y[head:])
+    mu = post.mean
+    stable = 6.0 + 0.5 * (np.sum((Y - X @ mu) ** 2) + 0.25 * mu @ mu)
+    assert post.b == pytest.approx(stable, rel=1e-6)
+
+
 def test_b_stays_positive_on_exactly_linear_data():
     # y = x . w with huge magnitudes: the residual term cancels to the ridge
     # penalty, which float arithmetic can push slightly negative.
@@ -105,7 +168,7 @@ def test_noise_variance_sampling_mean():
     X = rng.standard_normal((50, 2))
     Y = X @ np.array([1.0, -2.0]) + 0.5 * rng.standard_normal(50)
     post.batch_update(X, Y)
-    draws = np.array([post.sample_noise_variance(rng) for _ in range(20000)])
+    draws = np.array([post.sample(rng)[1] for _ in range(20000)])
     assert np.mean(draws) == pytest.approx(post.b / (post.a - 1), rel=0.03)
 
 
@@ -115,8 +178,9 @@ def test_point_mass_posterior_returns_mean_bitwise():
     X = rng.standard_normal((20, 3))
     post.batch_update(X, rng.standard_normal(20))
     for _ in range(5):
-        beta = post.sample(rng)
+        beta, sigma_sq = post.sample(rng)
         np.testing.assert_array_equal(beta, post.mean)
+        assert sigma_sq == 0.0
 
 
 def test_diag_projection_values_on_crafted_precision():
@@ -171,27 +235,31 @@ def test_sampled_covariance_follows_projection():
     post = FixedNoiseLinearPosterior(2, ridge=1.0, sigma_sq=1.0)
     post.update(np.array([1.0, 1.0]), 0.0)
     rng = np.random.default_rng(17)
-    draws = np.stack([post.sample(rng, "diag") - post.mean for _ in range(40000)])
+    draws = np.stack([post.sample(rng, "diag")[0] - post.mean for _ in range(40000)])
     cov = np.cov(draws.T)
     np.testing.assert_allclose(np.diag(cov), [2 / 3, 2 / 3], rtol=0.05)
     assert abs(cov[0, 1]) < 0.02
-    exact = np.stack([post.sample(rng, "exact") - post.mean for _ in range(40000)])
+    exact = np.stack([post.sample(rng, "exact")[0] - post.mean for _ in range(40000)])
     np.testing.assert_allclose(
         np.cov(exact.T), [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]], atol=0.02
     )
 
 
 def test_update_touches_only_the_chosen_action():
-    model = PerActionLinearModel(2, 3, sigma_sq=0.25)
-    model.update(np.array([1.0, 0.0]), action=1, reward=2.0)
-    assert [p.count for p in model.posteriors] == [0, 1, 0]
+    agent = LinearThompsonAgent(2, 3, sigma_sq=0.25)
+    agent.observe(Observation(context=np.array([1.0, 0.0]), action=1, reward=2.0))
+    post = agent.posterior
+    assert post.count.tolist() == [0, 1, 0]
+    np.testing.assert_array_equal(post.precision[[0, 2]], np.broadcast_to(0.25 * np.eye(2), (2, 2, 2)))
+    np.testing.assert_array_equal(post.mean[[0, 2]], 0.0)
+    assert post.mean[1, 0] > 0.0
 
 
 def test_ts_tie_breaks_to_lowest_index():
-    model = PerActionLinearModel(2, 4, sigma_sq=0.0)
+    agent = LinearThompsonAgent(2, 4, sigma_sq=0.0)
     rng = np.random.default_rng(0)
     # all posteriors are point masses at zero: scores tie at 0.0
-    assert linear_ts_choose(model, np.array([1.0, 1.0]), rng) == 0
+    assert agent.choose(np.array([1.0, 1.0]), rng) == 0
 
 
 def test_point_mass_thompson_equals_greedy_choices():
@@ -210,11 +278,9 @@ def test_point_mass_thompson_equals_greedy_choices():
 
 
 def test_epsilon_one_explores_uniformly():
-    model = PerActionLinearModel(1, 5, sigma_sq=0.25)
+    agent = LinearGreedyAgent(1, 5, epsilon=1.0)
     rng = np.random.default_rng(2)
-    draws = np.array([
-        linear_greedy_choose(model, np.ones(1), 1.0, rng) for _ in range(5000)
-    ])
+    draws = np.array([agent.choose(np.ones(1), rng) for _ in range(5000)])
     freq = np.bincount(draws, minlength=5) / 5000
     assert np.all(np.abs(freq - 0.2) < 3 * np.sqrt(0.2 * 0.8 / 5000))
 
@@ -224,3 +290,7 @@ def test_agent_constructor_validation():
         LinearThompsonAgent(2, 2, approximation="full")
     with pytest.raises(ValueError):
         LinearGreedyAgent(2, 2, epsilon=1.5)
+    with pytest.raises(ValueError):
+        LinearThompsonAgent(2, 0)
+    with pytest.raises(TypeError):
+        LinearGreedyAgent(2, 2, sigma_sq=0.25)

@@ -155,11 +155,11 @@ def test_param_noise_validation():
 def test_neural_linear_head_dimensions_and_online_updates():
     agent = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4))
     assert agent.feature_dim == 5
-    assert all(h.dim == 5 for h in agent.heads)
+    assert agent.heads.dim == 5 and agent.heads.mean.shape == (2, 5)
     plain = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4), bias_feature=False)
     assert plain.feature_dim == 4
     agent.observe(Observation(context=np.ones(3), action=1, reward=2.0))
-    assert [h.count for h in agent.heads] == [0, 1]
+    assert agent.heads.count.tolist() == [0, 1]
     z = agent._featurize(np.ones((1, 3)))
     assert z.shape == (1, 5)
     assert z[0, -1] == 1.0
@@ -168,18 +168,15 @@ def test_neural_linear_head_dimensions_and_online_updates():
 def test_neural_linear_refresh_rebuilds_heads_from_new_features():
     agent = NeuralLinearAgent(3, 2, SMALL, seed=5, hidden=(6,))
     feed(agent, 30, 3, 2, seed=11)
-    old_heads = list(agent.heads)
-    old_means = [h.mean.copy() for h in agent.heads]
+    old_heads = agent.heads
+    old_means = agent.heads.mean.copy()
     agent.maybe_train(0)
-    assert all(new is not old for new, old in zip(agent.heads, old_heads))
-    counts = [h.count for h in agent.heads]
-    assert counts == [
+    assert agent.heads is not old_heads
+    assert agent.heads.count.tolist() == [
         len(agent.buffer.action_indices(0)),
         len(agent.buffer.action_indices(1)),
     ]
-    assert any(
-        not np.allclose(m, h.mean) for m, h in zip(old_means, agent.heads)
-    )
+    assert any(not np.allclose(m, h) for m, h in zip(old_means, agent.heads.mean))
     a = agent.choose(np.ones(3), np.random.default_rng(0))
     assert a in (0, 1)
 
