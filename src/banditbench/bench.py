@@ -99,21 +99,50 @@ def _resolve_horizon(config: BenchmarkConfig, probe: Environment) -> int:
     return horizon
 
 
+def setup_run(config: BenchmarkConfig) -> tuple[Callable[[int], Environment], int]:
+    """The environment factory and the horizon every cell shares.
+
+    Each agent block is built once on the probe environment, so a bad value
+    raises a ConfigError naming the block's line before any cell runs.
+    """
+    env_factory = build_env_factory(config)
+    probe = env_factory(config.run.seed)
+    horizon = _resolve_horizon(config, probe)
+    for spec in config.agents:
+        try:
+            get_preset(spec.preset).make(
+                probe.dim, probe.num_actions, horizon, config.run.seed, spec.overrides
+            )
+        except ValueError as exc:
+            raise ConfigError(f"agent {spec.preset!r}: {exc}", spec.line) from exc
+    return env_factory, horizon
+
+
 def _run_cell(
     config: BenchmarkConfig,
     horizon: int,
     env_factory: Callable[[int], Environment],
     cell: tuple[AgentSpec, int],
 ) -> tuple[RegretTrace, float]:
-    """One (agent, trial) cell and its wall time; runs in a worker as is."""
+    """One (agent, trial) cell and its wall time; runs in a worker as is.
+
+    A failure is re-raised as a RuntimeError naming the cell.  Its message
+    repeats the original's, since a worker process returns only the message.
+    """
     spec, trial = cell
     seed = config.run.seed + trial
-    env = env_factory(seed)
-    agent = get_preset(spec.preset).make(
-        env.dim, env.num_actions, horizon, seed, spec.overrides
-    )
-    start = time.perf_counter()
-    trace = run_trial(env, agent, seed, horizon, WARMUP_PULLS)
+    try:
+        env = env_factory(seed)
+        agent = get_preset(spec.preset).make(
+            env.dim, env.num_actions, horizon, seed, spec.overrides
+        )
+        start = time.perf_counter()
+        trace = run_trial(env, agent, seed, horizon, WARMUP_PULLS)
+    except Exception as exc:
+        raise RuntimeError(
+            f"agent {spec.preset!r} trial {trial} (seed {seed}) failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return trace, time.perf_counter() - start
 
 
@@ -134,9 +163,7 @@ def run_benchmark(
     """Execute every agent block (plus Uniform) and normalize the reports."""
     say = progress or (lambda msg: None)
     specs = _agent_specs(config)
-    env_factory = build_env_factory(config)
-    probe = env_factory(config.run.seed)
-    horizon = _resolve_horizon(config, probe)
+    env_factory, horizon = setup_run(config)
     trials = config.run.trials
 
     cell = functools.partial(_run_cell, config, horizon, env_factory)

@@ -9,7 +9,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bench import emit_results, format_summary_table, run_benchmark
+from .bench import emit_results, format_summary_table, run_benchmark, setup_run
 from .config import ConfigError, load_config
 from .presets import list_presets
 
@@ -25,6 +25,7 @@ def _cmd_run(path: str) -> int:
 
 def _cmd_validate(path: str) -> int:
     config = load_config(path)
+    setup_run(config)
     agents = ", ".join(a.preset for a in config.agents) or "(none)"
     print(
         f"OK: environment={config.environment['name']} agents=[{agents}] "

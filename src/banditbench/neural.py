@@ -3,7 +3,8 @@
 All of these agents fit one reward head per action with a masked MSE loss on
 mini-batches drawn uniformly with replacement from the full history, firing a
 training period of ``batches_per_period`` batches every ``train_every``
-decision steps.  They differ in where decision-time randomness comes from:
+decision steps (``TrainableNet.train_period``, which the ``samplers`` agents
+subclass).  They differ in where decision-time randomness comes from:
 
 * ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks).
 * ``BootstrapAgent``: which ensemble member answers.
@@ -13,6 +14,7 @@ decision steps.  They differ in where decision-time randomness comes from:
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Optional, Sequence
 
@@ -57,8 +59,8 @@ class TrainableNet:
         dropout_keep: Optional[float] = None,
     ):
         init_ss, train_ss = _seed_sequence(seed).spawn(2)
-        self.net = mlp_init([dim, *hidden, num_actions], np.random.default_rng(init_ss), layer_norm)
-        self.opt = RMSProp(self.net.parameters())
+        rng = np.random.default_rng(init_ss)
+        self.net = self._init_net([dim, *hidden, num_actions], rng, layer_norm)
         self.schedule = schedule
         self.train_rng = np.random.default_rng(train_ss)
         self.period = 0
@@ -67,6 +69,17 @@ class TrainableNet:
         self.dropout_keep = (
             None if dropout_keep is None or dropout_keep >= 1.0 else dropout_keep
         )
+
+    def _init_net(self, sizes, rng, layer_norm):
+        return mlp_init(sizes, rng, layer_norm)
+
+    @functools.cached_property
+    def opt(self) -> RMSProp:
+        # built on first use, so a subclass with its own update holds none
+        return RMSProp(self.net.parameters())
+
+    def batches_this_period(self) -> int:
+        return self.schedule.batches_per_period
 
     def train_period(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
@@ -77,21 +90,30 @@ class TrainableNet:
             raise ValueError("cannot train on an empty history")
         params = self.net.parameters()
         loss = 0.0
-        for j in range(self.schedule.batches_per_period):
+        for j in range(self.batches_this_period()):
             idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
-            masks = None
-            if self.dropout_keep is not None:
-                masks = make_dropout_masks(
-                    self.net, self.schedule.batch_size, self.dropout_keep, self.train_rng
-                )
-            out, cache = mlp_forward(
-                self.net, contexts[idx], masks, self.dropout_keep or 1.0
-            )
-            loss, dout = masked_mse(out, actions[idx], rewards[idx])
-            grads = mlp_backward(self.net, cache, dout)
-            self.opt.step(params, grads, self.schedule.learning_rate(self.period, j))
+            loss, grads = self._loss_and_grads(contexts[idx], actions[idx], rewards[idx], n)
+            self._step(params, grads, n, j)
         self.period += 1
         return loss
+
+    def _loss_and_grads(self, X, actions, rewards, data_count):
+        masks = None
+        if self.dropout_keep is not None:
+            masks = make_dropout_masks(self.net, len(rewards), self.dropout_keep, self.train_rng)
+        out, cache = mlp_forward(self.net, X, masks, self.dropout_keep or 1.0)
+        loss, dout = masked_mse(out, actions, rewards)
+        return loss, mlp_backward(self.net, cache, dout)
+
+    def _step(self, params, grads, data_count, batch_index) -> None:
+        self.opt.step(params, grads, self.schedule.learning_rate(self.period, batch_index))
+
+    def train_if_due(self, step: int, buffer: HistoryBuffer) -> bool:
+        """Train one period on the whole history when ``step`` is due."""
+        if not self.schedule.due(step, len(buffer)):
+            return False
+        self.train_period(buffer.contexts, buffer.actions, buffer.rewards)
+        return True
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return mlp_predict(self.net, x)[0]
@@ -148,10 +170,7 @@ class NeuralGreedyAgent(Agent):
         self.buffer.append(obs)
 
     def maybe_train(self, step: int) -> None:
-        if self.core.schedule.due(step, len(self.buffer)):
-            self.core.train_period(
-                self.buffer.contexts, self.buffer.actions, self.buffer.rewards
-            )
+        self.core.train_if_due(step, self.buffer)
 
 
 class DropoutAgent(NeuralGreedyAgent):
@@ -304,10 +323,7 @@ class ParameterNoiseAgent(Agent):
             self.sigma /= 1.01
 
     def maybe_train(self, step: int) -> None:
-        if self.core.schedule.due(step, len(self.buffer)):
-            self.core.train_period(
-                self.buffer.contexts, self.buffer.actions, self.buffer.rewards
-            )
+        if self.core.train_if_due(step, self.buffer):
             self._adapt()
 
 
@@ -371,8 +387,5 @@ class NeuralLinearAgent(Agent):
         self.heads = heads
 
     def maybe_train(self, step: int) -> None:
-        if self.core.schedule.due(step, len(self.buffer)):
-            self.core.train_period(
-                self.buffer.contexts, self.buffer.actions, self.buffer.rewards
-            )
+        if self.core.train_if_due(step, self.buffer):
             self._refresh_heads()

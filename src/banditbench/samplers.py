@@ -6,7 +6,8 @@ training period runs a handful of preconditioned stochastic-gradient steps,
 and the agent acts greedily on whatever the chain currently holds.  Both
 precondition with a diagonal EMA of squared gradients (an empirical Fisher
 stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
-every weight and draws a fresh network at decision time.
+every weight and draws a fresh network at decision time.  All three train
+through ``neural.TrainableNet.train_period``, as the reward nets do.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ import numpy as np
 from .core import Agent, HistoryBuffer, Observation
 from .mlp import (
     MLP,
-    RMSProp,
     SeedLike,
     TrainingSchedule,
-    _seed_sequence,
-    masked_mse,
+    masked_mse,  # noqa: F401  (perfbench's tracer wraps it here)
     mlp_backward,
     mlp_forward,
     mlp_init,
     mlp_predict,
 )
+from .neural import TrainableNet
 
 DIAG_FLOOR = 1e-10
 
@@ -53,11 +53,10 @@ class FisherEMA:
 
 @dataclass(frozen=True)
 class SGFSConfig:
-    """Step size, injected-noise scale, and the diagonal floor."""
+    """Step size and injected-noise scale."""
 
     step_size: float = 0.014
     noise_scale: float = 0.75
-    diag_floor: float = DIAG_FLOOR
 
     def __post_init__(self):
         if self.step_size <= 0:
@@ -90,7 +89,7 @@ def sgfs_step(
     if inject and rng is None:
         raise ValueError("rng required when noise is enabled")
     for p, g, d in zip(params, grads, ema.diag):
-        diag = np.maximum(d, cfg.diag_floor)
+        diag = np.maximum(d, DIAG_FLOOR)
         h = (2.0 / data_count) / ((1.0 + eps) * diag)
         p -= eps * h * g
         if inject:
@@ -102,7 +101,6 @@ class ConstSGDConfig:
     """Constant-SGD preconditioning; noise_scale is off unless set."""
 
     noise_scale: float = 0.0
-    diag_floor: float = DIAG_FLOOR
 
     def __post_init__(self):
         if self.noise_scale < 0:
@@ -134,13 +132,13 @@ def const_sgd_step(
         raise ValueError("rng required when noise is enabled")
     ratio = 2.0 * batch_size / data_count
     for p, g, d in zip(params, grads, ema.diag):
-        eps = ratio / np.maximum(d, cfg.diag_floor)
+        eps = ratio / np.maximum(d, DIAG_FLOOR)
         p -= eps * g
         if inject:
             p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape)
 
 
-class _SGChainAgent(Agent):
+class _SGChainAgent(TrainableNet, Agent):
     """Shared scaffolding: greedy choice on the current chain iterate."""
 
     def __init__(
@@ -149,25 +147,25 @@ class _SGChainAgent(Agent):
         num_actions: int,
         seed: SeedLike,
         *,
-        train_every: int,
-        batches_per_period: int,
-        batch_size: int,
-        ema_decay: float,
-        burn_in: int,
-        hidden: Sequence[int],
+        ema_decay: float = 0.9,
+        burn_in: int = 500,
+        train_every: int = 20,
+        batches_per_period: int = 20,
+        batch_size: int = 512,
+        hidden: Sequence[int] = (100, 100),
         name: str,
     ):
-        self.schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
+        schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        init_ss, train_ss = _seed_sequence(seed).spawn(2)
-        self.net = mlp_init([dim, *hidden, num_actions], np.random.default_rng(init_ss))
+        super().__init__(dim, num_actions, schedule, seed, hidden)
         self.ema = FisherEMA(self.net.parameters(), ema_decay)
-        self.train_rng = np.random.default_rng(train_ss)
         self.buffer = HistoryBuffer(dim, num_actions)
         self.burn_in = burn_in
-        self.batches_done = 0  # lifetime counter; burn-in is measured on it
         self.name = name
+
+    def burning_in(self, batch_index: int) -> bool:
+        return self.period * self.schedule.batches_per_period + batch_index < self.burn_in
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
         return int(np.argmax(mlp_predict(self.net, context)[0]))
@@ -175,25 +173,8 @@ class _SGChainAgent(Agent):
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
 
-    def _batch_grads(self) -> list[np.ndarray]:
-        n = len(self.buffer)
-        idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
-        out, cache = mlp_forward(self.net, self.buffer.contexts[idx])
-        _, dout = masked_mse(out, self.buffer.actions[idx], self.buffer.rewards[idx])
-        return mlp_backward(self.net, cache, dout)
-
     def maybe_train(self, step: int) -> None:
-        if not self.schedule.due(step, len(self.buffer)):
-            return
-        params = self.net.parameters()
-        for _ in range(self.schedule.batches_per_period):
-            grads = self._batch_grads()
-            self.ema.update(grads)
-            self._apply(params, grads, len(self.buffer), self.batches_done < self.burn_in)
-            self.batches_done += 1
-
-    def _apply(self, params, grads, data_count, skip_noise) -> None:
-        raise NotImplementedError
+        self.train_if_due(step, self.buffer)
 
 
 class SGFSAgent(_SGChainAgent):
@@ -207,24 +188,16 @@ class SGFSAgent(_SGChainAgent):
         *,
         step_size: float = 0.014,
         noise_scale: float = 0.75,
-        ema_decay: float = 0.9,
-        burn_in: int = 500,
-        train_every: int = 20,
-        batches_per_period: int = 20,
-        batch_size: int = 512,
-        hidden: Sequence[int] = (100, 100),
         name: str = "SGFS",
+        **chain,
     ):
-        super().__init__(
-            dim, num_actions, seed,
-            train_every=train_every, batches_per_period=batches_per_period,
-            batch_size=batch_size, ema_decay=ema_decay, burn_in=burn_in,
-            hidden=hidden, name=name,
-        )
+        super().__init__(dim, num_actions, seed, name=name, **chain)
         self.cfg = SGFSConfig(step_size=step_size, noise_scale=noise_scale)
 
-    def _apply(self, params, grads, data_count, skip_noise) -> None:
-        sgfs_step(params, grads, self.ema, data_count, self.cfg, self.train_rng, skip_noise)
+    def _step(self, params, grads, data_count, batch_index) -> None:
+        self.ema.update(grads)
+        sgfs_step(params, grads, self.ema, data_count, self.cfg, self.train_rng,
+                  self.burning_in(batch_index))
 
 
 class ConstSGDAgent(_SGChainAgent):
@@ -237,27 +210,18 @@ class ConstSGDAgent(_SGChainAgent):
         seed: SeedLike,
         *,
         noise_scale: float = 0.0,
-        ema_decay: float = 0.9,
-        burn_in: int = 500,
-        train_every: int = 20,
-        batches_per_period: int = 20,
-        batch_size: int = 512,
-        hidden: Sequence[int] = (100, 100),
         name: str = "ConstSGD",
+        **chain,
     ):
-        super().__init__(
-            dim, num_actions, seed,
-            train_every=train_every, batches_per_period=batches_per_period,
-            batch_size=batch_size, ema_decay=ema_decay, burn_in=burn_in,
-            hidden=hidden, name=name,
-        )
+        super().__init__(dim, num_actions, seed, name=name, **chain)
         self.cfg = ConstSGDConfig(noise_scale=noise_scale)
 
-    def _apply(self, params, grads, data_count, skip_noise) -> None:
+    def _step(self, params, grads, data_count, batch_index) -> None:
         # Burn-in for plain constant SGD means "optimize first"; the update
         # rule is the same either way unless noise injection is enabled.
+        self.ema.update(grads)
         const_sgd_step(params, grads, self.ema, self.schedule.batch_size, data_count,
-                       self.cfg, self.train_rng, skip_noise)
+                       self.cfg, self.train_rng, self.burning_in(batch_index))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -386,14 +350,14 @@ def bbb_loss_and_grads(
     return loss, kl, dmu + drho
 
 
-class BayesByBackpropAgent(Agent):
+class BayesByBackpropAgent(TrainableNet, Agent):
     """Thompson sampling from a mean-field variational weight posterior.
 
-    Each decision draws a full network from q.  Training periods minimize the
-    single-sample variational loss with RMSProp; early periods can run a long
-    ramp of extra mini-batches (``ramp_initial`` decaying linearly to the
-    configured count over ``ramp_periods`` periods), which the long-horizon
-    presets use to get the posterior moving.
+    Each decision draws a full network from q (``net``).  Training periods
+    minimize the single-sample variational loss with RMSProp; early periods
+    can run a long ramp of extra mini-batches (``ramp_initial`` decaying
+    linearly to the configured count over ``ramp_periods`` periods), which the
+    long-horizon presets use to get the posterior moving.
     """
 
     def __init__(
@@ -413,55 +377,38 @@ class BayesByBackpropAgent(Agent):
         hidden: Sequence[int] = (100, 100),
         name: str = "BBB",
     ):
-        self.schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        init_ss, train_ss = _seed_sequence(seed).spawn(2)
-        self.vnet = VariationalNet(
-            [dim, *hidden, num_actions], prior_sigma, np.random.default_rng(init_ss)
-        )
-        self.opt = RMSProp(self.vnet.parameters())
-        self.train_rng = np.random.default_rng(train_ss)
+        schedule = TrainingSchedule(train_every, batches_per_period, batch_size, lr_init=lr)
+        self.prior_sigma = prior_sigma
+        super().__init__(dim, num_actions, schedule, seed, hidden)
         self.buffer = HistoryBuffer(dim, num_actions)
         self.noise_sigma = noise_sigma
-        self.lr = lr
         self.ramp_initial = ramp_initial
         self.ramp_periods = ramp_periods
-        self.period = 0
         self.name = name
 
-    def _period_batches(self) -> int:
+    def _init_net(self, sizes, rng, layer_norm):
+        return VariationalNet(sizes, self.prior_sigma, rng)
+
+    def batches_this_period(self) -> int:
         final = self.schedule.batches_per_period
         if self.ramp_initial is None or self.period >= self.ramp_periods:
             return final
-        ramped = round(
-            self.ramp_initial
-            - self.period * (self.ramp_initial - final) / self.ramp_periods
+        ramped = self.ramp_initial - self.period * (self.ramp_initial - final) / self.ramp_periods
+        return max(final, round(ramped))
+
+    def _loss_and_grads(self, X, actions, rewards, data_count):
+        loss, _, grads = bbb_loss_and_grads(
+            self.net, X, actions, rewards, total_count=data_count,
+            noise_sigma=self.noise_sigma, rng=self.train_rng,
         )
-        return max(final, int(ramped))
+        return loss, grads
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        sampled, _ = self.vnet.sample(rng)
+        sampled, _ = self.net.sample(rng)
         return int(np.argmax(mlp_predict(sampled, context)[0]))
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
 
     def maybe_train(self, step: int) -> None:
-        if not self.schedule.due(step, len(self.buffer)):
-            return
-        n = len(self.buffer)
-        params = self.vnet.parameters()
-        for _ in range(self._period_batches()):
-            idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
-            _, _, grads = bbb_loss_and_grads(
-                self.vnet,
-                self.buffer.contexts[idx],
-                self.buffer.actions[idx],
-                self.buffer.rewards[idx],
-                total_count=n,
-                noise_sigma=self.noise_sigma,
-                rng=self.train_rng,
-            )
-            self.opt.step(params, grads, self.lr)
-        self.period += 1
+        self.train_if_due(step, self.buffer)

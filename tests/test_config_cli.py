@@ -343,6 +343,49 @@ def test_a_failure_cancels_the_queued_cells(first, tmp_path, monkeypatch):
     assert len(started) <= 12, started  # of 24 queued cells
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_agent_value_fails_before_any_cell(workers, tmp_path, monkeypatch, capsys):
+    log = tmp_path / "cells.log"
+    monkeypatch.setattr(bench, "run_trial", functools.partial(_logged_trial, log, bench.run_trial))
+    monkeypatch.chdir(tmp_path)
+    text = (
+        "[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
+        '[agent "LinGreedy"]\n[agent "SGFS"]\nburn_in=-1\n'
+        f"[run]\ntrials=2\nseed=1\nworkers={workers}\n"
+    )
+    with pytest.raises(ConfigError, match=r"^line 6: agent 'SGFS': burn_in must be >= 0$"):
+        run_benchmark(parse_config(text))
+    assert not log.exists()
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.count("line 6: agent 'SGFS'") == 2
+    assert not log.exists()
+
+
+def _fail_on_trial_one(run_trial, env, agent, seed, *args):
+    if seed == 1:
+        raise ValueError("singular precision")
+    return run_trial(env, agent, seed, *args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_cell_names_its_agent_and_trial(workers, monkeypatch):
+    monkeypatch.setattr(bench, "run_trial", functools.partial(_fail_on_trial_one, bench.run_trial))
+    cfg = parse_config(
+        "[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
+        f'[agent "LinPost"]\n[run]\ntrials=2\nseed=0\nworkers={workers}\n'
+    )
+    with pytest.raises(RuntimeError) as info:
+        run_benchmark(cfg)
+    assert str(info.value) == (
+        "agent 'LinPost' trial 1 (seed 1) failed: ValueError: singular precision"
+    )
+    if workers == 1:
+        assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_sanitize_name():
     assert sanitize_name("LinGreedy(eps=0.01)") == "LinGreedy_eps=0.01"
     assert sanitize_name("wheel(delta=0.95)+const") == "wheel_delta=0.95_const"

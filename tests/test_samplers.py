@@ -14,6 +14,7 @@ from banditbench import (
     const_sgd_step,
     sgfs_step,
 )
+from banditbench.mlp import RMSProp, masked_mse, mlp_backward, mlp_forward, mlp_init
 from banditbench.samplers import (
     ConstSGDConfig,
     SGFSConfig,
@@ -190,18 +191,35 @@ def test_sgfs_burn_in_matches_noise_free_then_diverges():
     )
 
 
+class CountingRNG:
+    """A generator that records each mini-batch draw (``integers``)."""
+
+    def __init__(self, rng: np.random.Generator, log: list):
+        self.rng, self.log = rng, log
+
+    def integers(self, *args, **kwargs):
+        self.log.append(args)
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def test_chain_agents_train_on_schedule():
     agent = ConstSGDAgent(2, 2, seed=0, train_every=10, batches_per_period=3,
                           batch_size=4, hidden=(4,), burn_in=0)
     agent.observe(Observation(context=np.ones(2), action=0, reward=1.0))
+    draws = []
+    agent.train_rng = CountingRNG(agent.train_rng, draws)
     agent.maybe_train(-10)
-    assert agent.batches_done == 0
+    assert (agent.period, len(draws)) == (0, 0)
     agent.maybe_train(0)
-    assert agent.batches_done == 3
+    assert (agent.period, len(draws)) == (1, 3)
     agent.maybe_train(5)
-    assert agent.batches_done == 3
+    assert (agent.period, len(draws)) == (1, 3)
     agent.maybe_train(10)
-    assert agent.batches_done == 6
+    assert (agent.period, len(draws)) == (2, 6)
+    assert "opt" not in vars(agent)  # a chain steps with its Fisher EMA, never RMSProp
     with pytest.raises(ValueError):
         SGFSAgent(2, 2, seed=0, train_every=0)
     with pytest.raises(ValueError):
@@ -304,9 +322,9 @@ def test_bbb_ramp_schedule():
     expected = {0: 10000, 50: 5050, 99: 199, 100: 100, 500: 100}
     for period, count in expected.items():
         agent.period = period
-        assert agent._period_batches() == count
+        assert agent.batches_this_period() == count
     plain = BayesByBackpropAgent(2, 2, seed=0, batches_per_period=7, hidden=(4,))
-    assert plain._period_batches() == 7
+    assert plain.batches_this_period() == 7
     with pytest.raises(ValueError):
         BayesByBackpropAgent(2, 2, seed=0, lr=0.0)
 
@@ -318,11 +336,114 @@ def test_bbb_agent_trains_and_chooses():
     rng = np.random.default_rng(0)
     for obs in make_observations(12, 2, 2, seed=5):
         agent.observe(obs)
-    before = [p.copy() for p in agent.vnet.parameters()]
+    before = [p.copy() for p in agent.net.parameters()]
     agent.maybe_train(0)
     assert agent.period == 1
     assert any(
-        not np.array_equal(b, p) for b, p in zip(before, agent.vnet.parameters())
+        not np.array_equal(b, p) for b, p in zip(before, agent.net.parameters())
     )
     a = agent.choose(np.array([0.5, -0.5]), rng)
     assert a in (0, 1)
+
+
+class ReferenceChain:
+    """The SGFS/ConstSGD training loop written out on its own: a lifetime
+    batch counter for burn-in, and one uniform batch, Fisher EMA update and
+    chain step per iteration."""
+
+    def __init__(self, dim, k, seed, hidden, ema_decay, batch_size, batches, burn_in, step):
+        init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
+        self.net = mlp_init([dim, *hidden, k], np.random.default_rng(init_ss))
+        self.ema = FisherEMA(self.net.parameters(), ema_decay)
+        self.rng = np.random.default_rng(train_ss)
+        self.batch_size, self.batches, self.burn_in, self.step = batch_size, batches, burn_in, step
+        self.done = 0
+
+    def train(self, X, A, R):
+        n = len(R)
+        params = self.net.parameters()
+        for _ in range(self.batches):
+            idx = self.rng.integers(0, n, size=self.batch_size)
+            out, cache = mlp_forward(self.net, X[idx])
+            _, dout = masked_mse(out, A[idx], R[idx])
+            grads = mlp_backward(self.net, cache, dout)
+            self.ema.update(grads)
+            self.step(params, grads, self.ema, n, self.rng, self.done < self.burn_in)
+            self.done += 1
+        return params
+
+
+class ReferenceBBB:
+    """The Bayes-by-backprop training loop written out on its own, with the
+    linear ramp of batches per period and a fixed RMSProp rate."""
+
+    def __init__(self, dim, k, seed, hidden, prior_sigma, noise_sigma, lr, batch_size,
+                 batches, ramp_initial, ramp_periods):
+        init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
+        self.vnet = VariationalNet([dim, *hidden, k], prior_sigma, np.random.default_rng(init_ss))
+        self.opt = RMSProp(self.vnet.parameters())
+        self.rng = np.random.default_rng(train_ss)
+        self.noise_sigma, self.lr, self.batch_size = noise_sigma, lr, batch_size
+        self.batches, self.ramp_initial, self.ramp_periods = batches, ramp_initial, ramp_periods
+        self.period = 0
+
+    def period_batches(self):
+        if self.period >= self.ramp_periods:
+            return self.batches
+        ramped = round(self.ramp_initial
+                       - self.period * (self.ramp_initial - self.batches) / self.ramp_periods)
+        return max(self.batches, int(ramped))
+
+    def train(self, X, A, R):
+        n = len(R)
+        params = self.vnet.parameters()
+        for _ in range(self.period_batches()):
+            idx = self.rng.integers(0, n, size=self.batch_size)
+            _, _, grads = bbb_loss_and_grads(
+                self.vnet, X[idx], A[idx], R[idx], total_count=n,
+                noise_sigma=self.noise_sigma, rng=self.rng,
+            )
+            self.opt.step(params, grads, self.lr)
+        self.period += 1
+        return params
+
+
+def _sgfs_reference(cfg):
+    return lambda params, grads, ema, n, rng, skip: sgfs_step(params, grads, ema, n, cfg, rng, skip)
+
+
+def _const_sgd_reference(cfg, batch_size):
+    return lambda params, grads, ema, n, rng, skip: const_sgd_step(
+        params, grads, ema, batch_size, n, cfg, rng, skip)
+
+
+@pytest.mark.parametrize("kind", ["SGFS", "ConstSGD", "BBB"])
+def test_training_matches_the_reference_loops_bitwise(kind):
+    # SGFS leaves burn-in inside its second period (4 is not a multiple of 3);
+    # ConstSGD injects noise after burn-in; BBB's ramp runs 6, 5, 3 batches and
+    # then settles at 2.
+    dim, k, seed, hidden, bs = 3, 2, 11, (8,), 16
+    if kind == "SGFS":
+        agent = SGFSAgent(dim, k, seed, noise_scale=0.75, burn_in=4, batches_per_period=3,
+                          batch_size=bs, hidden=hidden, train_every=10)
+        ref = ReferenceChain(dim, k, seed, hidden, 0.9, bs, 3, 4,
+                             _sgfs_reference(SGFSConfig(noise_scale=0.75)))
+    elif kind == "ConstSGD":
+        agent = ConstSGDAgent(dim, k, seed, noise_scale=0.3, burn_in=2, batches_per_period=3,
+                              batch_size=bs, hidden=hidden, train_every=10)
+        ref = ReferenceChain(dim, k, seed, hidden, 0.9, bs, 3, 2,
+                             _const_sgd_reference(ConstSGDConfig(noise_scale=0.3), bs))
+    else:
+        agent = BayesByBackpropAgent(dim, k, seed, lr=0.02, batches_per_period=2, batch_size=bs,
+                                     ramp_initial=6, ramp_periods=3, hidden=hidden, train_every=10)
+        ref = ReferenceBBB(dim, k, seed, hidden, 1.0, 0.1, 0.02, bs, 2, 6, 3)
+    obs = make_observations(60, dim, k, seed=12)
+    for period in range(6):
+        for o in obs[10 * period: 10 * (period + 1)]:
+            agent.observe(o)
+        agent.maybe_train(10 * period)
+        buf = agent.buffer
+        want = ref.train(buf.contexts, buf.actions, buf.rewards)
+        for got, exp in zip(agent.net.parameters(), want, strict=True):
+            np.testing.assert_array_equal(got, exp)
+    assert agent.period == 6
