@@ -119,6 +119,17 @@ class Agent(abc.ABC):
         """
         return None
 
+    def best_action(self, scores: np.ndarray) -> np.ndarray:
+        """Index of the highest score along the last axis.
+
+        ``np.argmax`` would pick the index of a NaN, so a NaN or infinite
+        score (a diverged net, say) raises a ContractViolation instead.
+        """
+        # a Python pass over k scores costs a third of numpy's reduction
+        if not all(map(math.isfinite, scores.ravel().tolist())):
+            raise ContractViolation(f"agent {self.name!r} produced non-finite scores {scores}")
+        return np.argmax(scores, axis=-1)
+
 
 class Environment(abc.ABC):
     """A fixed sequence of contexts plus reward semantics per action."""
@@ -237,7 +248,9 @@ def run_trial(
     The first ``num_actions * warmup_pulls`` steps are round-robin
     (action = step mod k); afterwards the agent chooses.  Every step the agent
     observes the realized reward and gets a ``maybe_train`` tick carrying the
-    post-warmup step counter.
+    post-warmup step counter.  An exception raised inside a step is re-raised
+    with the step in its message: a ContractViolation stays one, anything else
+    becomes a RuntimeError naming the original type.
     """
     if horizon is None:
         horizon = env.horizon
@@ -262,36 +275,43 @@ def run_trial(
     digest = hashlib.sha256()
 
     for t in range(horizon):
-        x = np.asarray(env.context_at(t), dtype=np.float64)
-        if x.shape != (d,) or not np.all(np.isfinite(x)):
-            raise ContractViolation(
-                f"environment {env.name!r} produced an invalid context at step {t}"
-            )
-        digest.update(x.tobytes())
-
-        if t < warmup_len:
-            a = t % k
-        else:
-            a = agent.choose(x, agent_rng)
-            if not isinstance(a, (int, np.integer)) or not 0 <= a < k:
+        try:
+            x = np.asarray(env.context_at(t), dtype=np.float64)
+            if x.shape != (d,) or not np.all(np.isfinite(x)):
                 raise ContractViolation(
-                    f"agent {agent.name!r} returned invalid action {a!r} at step {t}"
+                    f"environment {env.name!r} produced an invalid context"
                 )
-            a = int(a)
+            digest.update(x.tobytes())
 
-        r = float(env.realize_reward(t, a, env_rng))
-        if not math.isfinite(r):
-            raise ContractViolation(
-                f"environment {env.name!r} realized reward {r!r} for agent "
-                f"{agent.name!r} at step {t}"
-            )
-        actions[t] = a
-        realized[t] = r
-        expected[t] = env.expected_reward(t, a)
-        optimal[t] = env.optimal_expected_reward(t)
+            if t < warmup_len:
+                a = t % k
+            else:
+                a = agent.choose(x, agent_rng)
+                if not isinstance(a, (int, np.integer)) or not 0 <= a < k:
+                    raise ContractViolation(
+                        f"agent {agent.name!r} returned invalid action {a!r}"
+                    )
+                a = int(a)
 
-        agent.observe(Observation(context=x, action=a, reward=r))
-        agent.maybe_train(t - warmup_len)
+            r = float(env.realize_reward(t, a, env_rng))
+            if not math.isfinite(r):
+                raise ContractViolation(
+                    f"environment {env.name!r} realized reward {r!r} for agent "
+                    f"{agent.name!r}"
+                )
+            actions[t] = a
+            realized[t] = r
+            expected[t] = env.expected_reward(t, a)
+            optimal[t] = env.optimal_expected_reward(t)
+
+            agent.observe(Observation(context=x, action=a, reward=r))
+            agent.maybe_train(t - warmup_len)
+        except ContractViolation as exc:
+            raise ContractViolation(f"{exc} at step {t}") from exc
+        except Exception as exc:
+            # the step goes into the message, which is all a worker process
+            # hands back to run_benchmark
+            raise RuntimeError(f"{type(exc).__name__} at step {t}: {exc}") from exc
 
     bad = ~(np.isfinite(expected) & np.isfinite(optimal))
     if bad.any():

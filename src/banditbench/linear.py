@@ -236,7 +236,7 @@ class LinearThompsonAgent(Agent):
         self.name = name
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        return int(np.argmax(self.posterior.sample(rng, self.approximation)[0] @ context))
+        return int(self.best_action(self.posterior.sample(rng, self.approximation)[0] @ context))
 
     def observe(self, obs: Observation) -> None:
         self.posterior.update(obs.context, obs.reward, obs.action)
@@ -264,7 +264,7 @@ class LinearGreedyAgent(Agent):
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
             return int(rng.integers(self.num_actions))
-        return int(np.argmax(self.posterior.mean @ context))
+        return int(self.best_action(self.posterior.mean @ context))
 
     def observe(self, obs: Observation) -> None:
         self.posterior.update(obs.context, obs.reward, obs.action)

@@ -6,6 +6,11 @@ pre-activations, inverted dropout, the masked mean-squared-error loss used to
 fit per-action reward heads, RMSProp, and the mini-batch training schedule.
 Gradients are computed manually so they can be checked against finite
 differences and reused by the reparameterized variational nets.
+
+Every function computes in the dtype of the parameters it is given: inputs,
+masks, targets and gradients are cast to it, and noise is drawn in it.
+``mlp_init`` builds float64 nets, which the gradchecks use; the agents train
+float32 copies (``neural.TRAIN_DTYPE``).
 """
 
 from __future__ import annotations
@@ -60,13 +65,19 @@ class MLP:
                 params.append(self.shifts[l])
         return params
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
+    def astype(self, dtype) -> "MLP":
+        """A copy with every parameter cast to ``dtype``."""
+        def cast(arrays):
+            return None if arrays is None else [a.astype(dtype) for a in arrays]
+
+        return MLP(cast(self.weights), cast(self.biases), cast(self.gains), cast(self.shifts))
+
     def copy(self) -> "MLP":
-        return MLP(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            gains=None if self.gains is None else [g.copy() for g in self.gains],
-            shifts=None if self.shifts is None else [s.copy() for s in self.shifts],
-        )
+        return self.astype(self.dtype)
 
 
 def mlp_init(
@@ -96,7 +107,7 @@ def make_dropout_masks(
         raise ValueError("p_keep must lie in (0, 1]")
     sizes = net.sizes
     return [
-        (rng.random((batch, sizes[l + 1])) < p_keep).astype(np.float64)
+        (rng.random((batch, sizes[l + 1])) < p_keep).astype(net.dtype)
         for l in range(net.num_layers - 1)
     ]
 
@@ -110,7 +121,7 @@ def _hidden_layers(
 ) -> np.ndarray:
     """Post-activation output of the last hidden layer, appending each hidden
     layer's backprop values to ``cache`` when one is given."""
-    a = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    a = np.atleast_2d(np.asarray(X, dtype=net.dtype))
     for l in range(net.num_layers - 1):
         z = a @ net.weights[l] + net.biases[l]
         step = {"inp": a}
@@ -127,7 +138,7 @@ def _hidden_layers(
             a = a * dropout_masks[l] / p_keep
             step["drop"] = dropout_masks[l] / p_keep
         if cache is not None:
-            step["relu"] = (z > 0).astype(np.float64)
+            step["relu"] = (z > 0).astype(net.dtype)
             cache.append(step)
     return a
 
@@ -166,7 +177,7 @@ def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> list[np.ndarr
     Returns arrays aligned with ``net.parameters()``.
     """
     grads: list[list[np.ndarray]] = [[] for _ in range(net.num_layers)]
-    da = np.asarray(dout, dtype=np.float64)
+    da = np.asarray(dout, dtype=net.dtype)
     for l in range(net.num_layers - 1, -1, -1):
         step = cache[l]
         dz = da
@@ -211,7 +222,7 @@ def masked_mse(
     n = outputs.shape[0]
     rows = np.arange(n)
     actions = np.asarray(actions, dtype=np.int64)
-    diff = outputs[rows, actions] - np.asarray(rewards, dtype=np.float64)
+    diff = outputs[rows, actions] - np.asarray(rewards, dtype=outputs.dtype)
     loss = float(np.mean(diff * diff))
     dout = np.zeros_like(outputs)
     dout[rows, actions] = 2.0 * diff / n
@@ -222,7 +233,7 @@ def perturb(net: MLP, sigma: float, rng: np.random.Generator) -> MLP:
     """Copy of the net with N(0, sigma^2) noise added to every parameter."""
     noisy = net.copy()
     for p in noisy.parameters():
-        p += sigma * rng.standard_normal(p.shape)
+        p += sigma * rng.standard_normal(p.shape, dtype=p.dtype)
     return noisy
 
 

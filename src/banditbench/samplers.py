@@ -7,11 +7,14 @@ and the agent acts greedily on whatever the chain currently holds.  Both
 precondition with a diagonal EMA of squared gradients (an empirical Fisher
 stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
 every weight and draws a fresh network at decision time.  All three train
-through ``neural.TrainableNet.train_period``, as the reward nets do.
+through ``neural.TrainableNet.train_period``, as the reward nets do, so they
+train in its float32; the functions here compute in the dtype of the
+parameters they are given and draw their noise in it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +26,7 @@ from .mlp import (
     MLP,
     SeedLike,
     TrainingSchedule,
-    masked_mse,  # noqa: F401  (perfbench's tracer wraps it here)
+    masked_mse,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -93,7 +96,8 @@ def sgfs_step(
         h = (2.0 / data_count) / ((1.0 + eps) * diag)
         p -= eps * h * g
         if inject:
-            p += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * rng.standard_normal(p.shape)
+            nu = rng.standard_normal(p.shape, dtype=p.dtype)
+            p += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def const_sgd_step(
         eps = ratio / np.maximum(d, DIAG_FLOOR)
         p -= eps * g
         if inject:
-            p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape)
+            p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape, dtype=p.dtype)
 
 
 class _SGChainAgent(TrainableNet, Agent):
@@ -168,7 +172,7 @@ class _SGChainAgent(TrainableNet, Agent):
         return self.period * self.schedule.batches_per_period + batch_index < self.burn_in
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        return int(np.argmax(mlp_predict(self.net, context)[0]))
+        return int(self.best_action(mlp_predict(self.net, context)[0]))
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
@@ -237,7 +241,7 @@ def softplus_inverse(y: float) -> float:
 def gaussian_kl(mu: np.ndarray, sigma_q: np.ndarray, sigma_p: float) -> float:
     """Closed-form KL(N(mu, diag sigma_q^2) || N(0, sigma_p^2 I)), summed."""
     per = (
-        np.log(sigma_p) - np.log(sigma_q)
+        math.log(sigma_p) - np.log(sigma_q)
         + (sigma_q * sigma_q + mu * mu) / (2.0 * sigma_p * sigma_p)
         - 0.5
     )
@@ -266,6 +270,13 @@ class VariationalNet:
         self.mu = mlp_init(self.sizes, rng)
         rho0 = softplus_inverse(0.05 * prior_sigma)
         self.rho = [np.full_like(p, rho0) for p in self.mu.parameters()]
+
+    def astype(self, dtype) -> "VariationalNet":
+        """A copy with mu and rho cast to ``dtype``."""
+        cast = copy.copy(self)
+        cast.mu = self.mu.astype(dtype)
+        cast.rho = [r.astype(dtype) for r in self.rho]
+        return cast
 
     def parameters(self) -> list[np.ndarray]:
         """mu arrays followed by rho arrays, for a single optimizer."""
@@ -297,7 +308,7 @@ class VariationalNet:
         if noise is None:
             if rng is None:
                 raise ValueError("either rng or noise must be given")
-            noise = [rng.standard_normal(p.shape) for p in mus]
+            noise = [rng.standard_normal(p.shape, dtype=p.dtype) for p in mus]
         flat = [m + s * n for m, s, n in zip(mus, self.stddevs(), noise)]
         return self._assemble(flat), noise
 
@@ -326,15 +337,10 @@ def bbb_loss_and_grads(
         raise ValueError("noise_sigma must be positive")
     sampled, noise = vnet.sample(rng, noise)
     out, cache = mlp_forward(sampled, contexts)
-    n = out.shape[0]
-    rows = np.arange(n)
-    acts = np.asarray(actions, dtype=np.int64)
-    diff = out[rows, acts] - np.asarray(rewards, dtype=np.float64)
-    var = noise_sigma * noise_sigma
-    nll = float(np.mean(diff * diff) / (2.0 * var))
-    dout = np.zeros_like(out)
-    dout[rows, acts] = diff / (var * n)
-    dw = mlp_backward(sampled, cache, dout)
+    mse, dmse = masked_mse(out, actions, rewards)
+    scale = 1.0 / (2.0 * noise_sigma * noise_sigma)
+    nll = mse * scale
+    dw = mlp_backward(sampled, cache, dmse * scale)
 
     mus = vnet.mu.parameters()
     sigmas = vnet.stddevs()
@@ -405,7 +411,7 @@ class BayesByBackpropAgent(TrainableNet, Agent):
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
         sampled, _ = self.net.sample(rng)
-        return int(np.argmax(mlp_predict(sampled, context)[0]))
+        return int(self.best_action(mlp_predict(sampled, context)[0]))
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)

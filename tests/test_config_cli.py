@@ -19,6 +19,7 @@ from banditbench.bench import (
 from banditbench.cli import main
 from banditbench.config import ConfigError, load_config, parse_config
 from banditbench.envs import ConstantFeatureEnv, dataset_load
+from banditbench.linear import LinearThompsonAgent
 
 GOOD = """\
 # tiny wheel benchmark
@@ -384,6 +385,28 @@ def test_a_failing_cell_names_its_agent_and_trial(workers, monkeypatch):
     )
     if workers == 1:
         assert isinstance(info.value.__cause__, ValueError)
+
+
+def _singular_at_step_7(self, context, rng):
+    # every step so far was observed, so the counts sum to the step number
+    if self.posterior.count.sum() == 7:
+        raise np.linalg.LinAlgError("not positive definite")
+    return 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_step_is_named(workers, monkeypatch):
+    monkeypatch.setattr(LinearThompsonAgent, "choose", _singular_at_step_7)
+    cfg = parse_config(
+        "[environment]\nname=linear\ndim=3\nnum_actions=2\nhorizon=20\n"
+        f'[agent "LinPost"]\n[run]\ntrials=1\nseed=0\nworkers={workers}\n'
+    )
+    with pytest.raises(RuntimeError) as info:
+        run_benchmark(cfg)
+    assert str(info.value) == (
+        "agent 'LinPost' trial 0 (seed 0) failed: "
+        "RuntimeError: LinAlgError at step 7: not positive definite"
+    )
 
 
 def test_sanitize_name():

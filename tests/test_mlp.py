@@ -122,6 +122,24 @@ def test_gradients_match_finite_differences_pinned_dropout():
     assert grad_rel_error(analytic, numeric) < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_training_math_computes_in_the_parameters_dtype(dtype):
+    rng = np.random.default_rng(3)
+    built = mlp_init((3, 4, 2), rng, layer_norm=True)
+    assert {p.dtype for p in built.parameters()} == {np.dtype(np.float64)}
+    net = built.astype(dtype)
+    X = rng.standard_normal((6, 3))
+    masks = make_dropout_masks(net, 6, 0.8, rng)
+    out, cache = mlp_forward(net, X, masks, 0.8)
+    _, dout = masked_mse(out, rng.integers(0, 2, size=6), rng.standard_normal(6))
+    grads = mlp_backward(net, cache, dout)
+    opt = RMSProp(net.parameters())
+    opt.step(net.parameters(), grads, 0.01)
+    arrays = [out, dout, *masks, *grads, *opt.acc, *net.parameters(),
+              *perturb(net, 0.1, rng).parameters(), hidden_features(net, X)]
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+
 def test_init_shapes_and_glorot_bounds():
     net = mlp_init((3, 7, 2), np.random.default_rng(0))
     assert net.sizes == (3, 7, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from banditbench import (
     BootstrapAgent,
+    ContractViolation,
     DropoutAgent,
     LinearConfig,
     NeuralGreedyAgent,
@@ -239,3 +240,54 @@ def test_neural_agent_completes_a_trial():
     trace = run_trial(env, agent, seed=0)
     assert len(trace) == 120
     assert np.isfinite(cumulative_regret(trace))
+
+
+TRAINABLE = ["RMS1", "RMS2", "RMS3", "RMS", "EpsGreedyRMS", "Dropout", "BootstrappedNN",
+             "ParamNoise", "NeuralLinear", "SGFS", "ConstSGD", "BBB"]
+
+
+@pytest.mark.parametrize("name", TRAINABLE)
+def test_every_trainable_preset_trains_in_float32(name, monkeypatch):
+    overrides = {"train_every": 5, "batches_per_period": 2, "batch_size": 8}
+    if name in ("SGFS", "ConstSGD"):
+        overrides["burn_in"] = 0  # so the period injects noise
+    if name == "BBB":
+        overrides["ramp_initial"] = 2
+    agent = get_preset(name).make(3, 2, 50, 0, overrides)
+    nets = agent.nets if isinstance(agent, BootstrapAgent) else [getattr(agent, "core", agent)]
+    grads = []
+    for net in nets:
+        def recorded(*args, inner=net._loss_and_grads):
+            loss, g = inner(*args)
+            grads.extend(g)
+            return loss, g
+        monkeypatch.setattr(net, "_loss_and_grads", recorded)
+    feed(agent, 12, 3, 2, seed=1)
+    agent.maybe_train(0)
+    arrays = list(grads)
+    for net in nets:
+        assert net.period == 1
+        # optimizer state: the chains' Fisher EMA, else RMSProp (BBB's rho is a parameter)
+        state = net.ema.diag if hasattr(net, "ema") else net.opt.acc
+        arrays += net.net.parameters() + state
+    assert len(grads) == 2 * len(nets) * len(nets[0].net.parameters())
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    if name == "NeuralLinear":
+        assert agent.heads.precision.dtype == agent.heads.mean.dtype == np.float64
+    assert agent.choose(np.ones(3), np.random.default_rng(0)) in (0, 1)
+
+
+def test_non_finite_scores_raise_naming_the_agent():
+    agent = get_preset("RMS").make(3, 2, 50, 0)
+    agent.core.net.biases[-1][1] = np.nan
+    with pytest.raises(ContractViolation, match=r"^agent 'RMS' produced non-finite scores"):
+        agent.choose(np.ones(3), np.random.default_rng(0))
+    env = SampledLinearBandit(LinearConfig(dim=3, num_actions=2, horizon=10), seed=0)
+    with pytest.raises(ContractViolation, match=r"non-finite scores .* at step 6$"):
+        run_trial(env, agent, seed=0)  # the first choice follows 6 warmup steps
+
+    noisy = ParameterNoiseAgent(3, 2, SMALL, seed=0, horizon=50, hidden=(6,))
+    feed(noisy, 5, 3, 2, seed=2)
+    noisy.core.net.biases[-1][0] = np.inf
+    with pytest.raises(ContractViolation, match=r"^agent 'ParamNoise'"):
+        noisy._adapt()

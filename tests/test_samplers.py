@@ -1,5 +1,7 @@
 """Stochastic-gradient posterior chains and the variational agent."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from banditbench import (
     const_sgd_step,
     sgfs_step,
 )
-from banditbench.mlp import RMSProp, masked_mse, mlp_backward, mlp_forward, mlp_init
+from banditbench.mlp import RMSProp, masked_mse, mlp_backward, mlp_forward
 from banditbench.samplers import (
     ConstSGDConfig,
     SGFSConfig,
@@ -349,11 +351,11 @@ def test_bbb_agent_trains_and_chooses():
 class ReferenceChain:
     """The SGFS/ConstSGD training loop written out on its own: a lifetime
     batch counter for burn-in, and one uniform batch, Fisher EMA update and
-    chain step per iteration."""
+    chain step per iteration.  It trains a copy of the agent's initial net."""
 
-    def __init__(self, dim, k, seed, hidden, ema_decay, batch_size, batches, burn_in, step):
-        init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-        self.net = mlp_init([dim, *hidden, k], np.random.default_rng(init_ss))
+    def __init__(self, net, seed, ema_decay, batch_size, batches, burn_in, step):
+        _, train_ss = np.random.SeedSequence(seed).spawn(2)
+        self.net = net.copy()
         self.ema = FisherEMA(self.net.parameters(), ema_decay)
         self.rng = np.random.default_rng(train_ss)
         self.batch_size, self.batches, self.burn_in, self.step = batch_size, batches, burn_in, step
@@ -375,12 +377,13 @@ class ReferenceChain:
 
 class ReferenceBBB:
     """The Bayes-by-backprop training loop written out on its own, with the
-    linear ramp of batches per period and a fixed RMSProp rate."""
+    linear ramp of batches per period and a fixed RMSProp rate.  It trains a
+    copy of the agent's initial variational net."""
 
-    def __init__(self, dim, k, seed, hidden, prior_sigma, noise_sigma, lr, batch_size,
-                 batches, ramp_initial, ramp_periods):
-        init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-        self.vnet = VariationalNet([dim, *hidden, k], prior_sigma, np.random.default_rng(init_ss))
+    def __init__(self, vnet, seed, noise_sigma, lr, batch_size, batches, ramp_initial,
+                 ramp_periods):
+        _, train_ss = np.random.SeedSequence(seed).spawn(2)
+        self.vnet = copy.deepcopy(vnet)
         self.opt = RMSProp(self.vnet.parameters())
         self.rng = np.random.default_rng(train_ss)
         self.noise_sigma, self.lr, self.batch_size = noise_sigma, lr, batch_size
@@ -421,22 +424,22 @@ def _const_sgd_reference(cfg, batch_size):
 def test_training_matches_the_reference_loops_bitwise(kind):
     # SGFS leaves burn-in inside its second period (4 is not a multiple of 3);
     # ConstSGD injects noise after burn-in; BBB's ramp runs 6, 5, 3 batches and
-    # then settles at 2.
+    # then settles at 2.  The references start from the agent's float32 nets.
     dim, k, seed, hidden, bs = 3, 2, 11, (8,), 16
     if kind == "SGFS":
         agent = SGFSAgent(dim, k, seed, noise_scale=0.75, burn_in=4, batches_per_period=3,
                           batch_size=bs, hidden=hidden, train_every=10)
-        ref = ReferenceChain(dim, k, seed, hidden, 0.9, bs, 3, 4,
+        ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 4,
                              _sgfs_reference(SGFSConfig(noise_scale=0.75)))
     elif kind == "ConstSGD":
         agent = ConstSGDAgent(dim, k, seed, noise_scale=0.3, burn_in=2, batches_per_period=3,
                               batch_size=bs, hidden=hidden, train_every=10)
-        ref = ReferenceChain(dim, k, seed, hidden, 0.9, bs, 3, 2,
+        ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 2,
                              _const_sgd_reference(ConstSGDConfig(noise_scale=0.3), bs))
     else:
         agent = BayesByBackpropAgent(dim, k, seed, lr=0.02, batches_per_period=2, batch_size=bs,
                                      ramp_initial=6, ramp_periods=3, hidden=hidden, train_every=10)
-        ref = ReferenceBBB(dim, k, seed, hidden, 1.0, 0.1, 0.02, bs, 2, 6, 3)
+        ref = ReferenceBBB(agent.net, seed, 0.1, 0.02, bs, 2, 6, 3)
     obs = make_observations(60, dim, k, seed=12)
     for period in range(6):
         for o in obs[10 * period: 10 * (period + 1)]:
@@ -445,5 +448,6 @@ def test_training_matches_the_reference_loops_bitwise(kind):
         buf = agent.buffer
         want = ref.train(buf.contexts, buf.actions, buf.rewards)
         for got, exp in zip(agent.net.parameters(), want, strict=True):
+            assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
     assert agent.period == 6
