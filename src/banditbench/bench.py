@@ -106,7 +106,10 @@ def setup_run(config: BenchmarkConfig) -> tuple[Callable[[int], Environment], in
     raises a ConfigError naming the block's line before any cell runs.
     """
     env_factory = build_env_factory(config)
-    probe = env_factory(config.run.seed)
+    try:
+        probe = env_factory(config.run.seed)
+    except ValueError as exc:
+        raise ConfigError(f"environment setup failed: {exc}") from exc
     horizon = _resolve_horizon(config, probe)
     for spec in config.agents:
         try:

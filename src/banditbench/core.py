@@ -1,11 +1,11 @@
 """Core contracts and the decision-loop harness for contextual bandits.
 
 The pieces here are deliberately small: an ``Agent`` sees a context, picks an
-action, observes a reward, and occasionally trains; an ``Environment`` owns a
-fixed sequence of contexts and can realize or describe rewards for any
-(step, action) pair.  ``run_trial`` wires the two together with a round-robin
-warmup, and ``run_experiment`` repeats trials under paired seeds and reduces
-them to regret summaries.
+action, observes a reward, and occasionally trains; an ``Environment`` is two
+arrays, the contexts (n, d) and every action's expected reward (n, k), plus
+the reward noise its subclass draws in ``realize_reward``.  ``run_trial``
+wires the two together with a round-robin warmup, and ``run_experiment``
+repeats trials under paired seeds and reduces them to regret summaries.
 """
 
 from __future__ import annotations
@@ -131,40 +131,67 @@ class Agent(abc.ABC):
         return np.argmax(scores, axis=-1)
 
 
-class Environment(abc.ABC):
-    """A fixed sequence of contexts plus reward semantics per action."""
+class Environment:
+    """A fixed sequence of contexts and the expected reward of every action.
+
+    The two arrays are the whole environment: ``contexts`` (n, d) and
+    ``expected`` (n, k), both float64 and finite, with step t reading row t.
+    ``horizon`` (default n) is how many of the rows a trial may use.  A
+    subclass passes its arrays here and writes ``realize_reward``, its reward
+    noise; the default is noiseless, the expected reward itself.
+    """
 
     name: str = "environment"
 
+    def __init__(self, contexts: np.ndarray, expected: np.ndarray,
+                 horizon: Optional[int] = None):
+        contexts = np.asarray(contexts, dtype=np.float64)
+        expected = np.asarray(expected, dtype=np.float64)
+        if contexts.ndim != 2 or expected.ndim != 2 or len(contexts) != len(expected):
+            raise ValueError("contexts must be (n, d) and expected rewards (n, k)")
+        n = len(contexts)
+        for what, values in (("contexts", contexts), ("expected rewards", expected)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                row = int(np.argmin(finite.all(axis=1)))
+                raise ValueError(f"{what} must be finite: row {row} is not")
+        self._horizon = n if horizon is None else horizon
+        if not 1 <= self._horizon <= n:
+            raise ValueError(f"horizon must lie in [1, {n}]")
+        self.contexts = contexts
+        self.expected = expected
+        self._optimal = expected.max(axis=1)
+
     @property
-    @abc.abstractmethod
     def dim(self) -> int:
         """Context dimension d."""
+        return self.contexts.shape[1]
 
     @property
-    @abc.abstractmethod
     def num_actions(self) -> int:
         """Action count k."""
+        return self.expected.shape[1]
 
     @property
-    @abc.abstractmethod
     def horizon(self) -> int:
-        """Number of available steps n."""
+        """Number of steps a trial may use."""
+        return self._horizon
 
-    @abc.abstractmethod
     def context_at(self, t: int) -> np.ndarray:
         """Context vector for step t (fixed for the life of the instance)."""
+        return self.contexts[t]
 
-    @abc.abstractmethod
-    def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
-        """Draw the observable reward for taking ``action`` at step t."""
-
-    @abc.abstractmethod
     def expected_reward(self, t: int, action: int) -> float:
         """Expected reward of ``action`` at step t (used for regret only)."""
+        return float(self.expected[t, action])
 
     def optimal_expected_reward(self, t: int) -> float:
-        return max(self.expected_reward(t, a) for a in range(self.num_actions))
+        """The best action's expected reward at step t: the row max."""
+        return float(self._optimal[t])
+
+    def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
+        """Draw the observable reward for taking ``action`` at step t."""
+        return float(self.expected[t, action])
 
 
 @dataclass
@@ -248,9 +275,11 @@ def run_trial(
     The first ``num_actions * warmup_pulls`` steps are round-robin
     (action = step mod k); afterwards the agent chooses.  Every step the agent
     observes the realized reward and gets a ``maybe_train`` tick carrying the
-    post-warmup step counter.  An exception raised inside a step is re-raised
-    with the step in its message: a ContractViolation stays one, anything else
-    becomes a RuntimeError naming the original type.
+    post-warmup step counter.  Before the first step the trial's contexts are
+    checked finite and hashed into ``context_digest``.  An exception raised
+    inside a step is re-raised with the step in its message: a
+    ContractViolation stays one, anything else becomes a RuntimeError naming
+    the original type.
     """
     if horizon is None:
         horizon = env.horizon
@@ -264,25 +293,27 @@ def run_trial(
         raise ValueError("warmup_pulls must be >= 0")
 
     k = env.num_actions
-    d = env.dim
     warmup_len = k * warmup_pulls
     env_rng, agent_rng = _trial_streams(seed)
+
+    contexts = np.asarray(env.contexts[:horizon], dtype=np.float64)
+    finite = np.isfinite(contexts)
+    if not finite.all():
+        raise ContractViolation(
+            f"environment {env.name!r} produced an invalid context at step "
+            f"{int(np.argmin(finite.all(axis=1)))}"
+        )
+    # the same value as one sha256 update per step's row
+    digest = hashlib.sha256(contexts.tobytes()).hexdigest()
 
     actions = np.empty(horizon, dtype=np.int64)
     realized = np.empty(horizon, dtype=np.float64)
     expected = np.empty(horizon, dtype=np.float64)
     optimal = np.empty(horizon, dtype=np.float64)
-    digest = hashlib.sha256()
 
     for t in range(horizon):
         try:
-            x = np.asarray(env.context_at(t), dtype=np.float64)
-            if x.shape != (d,) or not np.all(np.isfinite(x)):
-                raise ContractViolation(
-                    f"environment {env.name!r} produced an invalid context"
-                )
-            digest.update(x.tobytes())
-
+            x = env.context_at(t)
             if t < warmup_len:
                 a = t % k
             else:
@@ -326,7 +357,7 @@ def run_trial(
         realized_rewards=realized,
         expected_rewards=expected,
         optimal_rewards=optimal,
-        context_digest=digest.hexdigest(),
+        context_digest=digest,
     )
 
 

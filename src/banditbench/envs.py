@@ -1,9 +1,12 @@
 """Benchmark environments: the wheel, sampled linear models, and CSV datasets.
 
-Every environment materializes its full context sequence at construction from
-its own seed, so a trial's contexts are fixed and two agents given the same
-seed face the same sequence.  Reward noise is drawn step by step from the rng
-the harness passes in.
+Each environment is a ``core.Environment``: it builds its whole context
+sequence (n, d) and every action's expected reward (n, k) at construction,
+from its own seed, and hands both arrays to the base class, which answers
+``context_at``, ``expected_reward`` and ``optimal_expected_reward`` from them.
+A trial's contexts are therefore fixed, and two agents given the same seed
+face the same sequence.  What a subclass adds is its reward noise,
+``realize_reward``, drawn step by step from the rng the harness passes in.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -62,19 +65,26 @@ class WheelConfig:
             raise ValueError("delta must lie strictly between 0 and 1")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        _require_finite(self, ("safe_reward", "inner_reward", "outer_reward", "noise_sigma"))
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
 
-def wheel_quadrant_action(x: np.ndarray) -> int:
-    """Which non-safe action a context outside the threshold rewards.
+def _require_finite(config, keys: Sequence[str]) -> None:
+    for key in keys:
+        value = getattr(config, key)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
+def wheel_quadrant_actions(contexts: np.ndarray) -> np.ndarray:
+    """Which non-safe action each context (a row) rewards outside the threshold.
 
     Zero coordinates count as positive: (+,+) -> 1, (+,-) -> 2, (-,-) -> 3,
     (-,+) -> 4.
     """
-    if x[0] >= 0.0:
-        return 1 if x[1] >= 0.0 else 2
-    return 4 if x[1] >= 0.0 else 3
+    north = contexts[:, 1] >= 0.0
+    return np.where(contexts[:, 0] >= 0.0, np.where(north, 1, 2), np.where(north, 4, 3))
 
 
 class WheelBandit(Environment):
@@ -87,40 +97,13 @@ class WheelBandit(Environment):
         rng = np.random.default_rng(seed)
         radii = np.sqrt(rng.random(n))
         angles = rng.uniform(0.0, 2.0 * math.pi, n)
-        self._contexts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-        self._inside = np.hypot(self._contexts[:, 0], self._contexts[:, 1]) <= config.delta
-        self._quadrant = np.array(
-            [wheel_quadrant_action(x) for x in self._contexts], dtype=np.int64
-        )
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def num_actions(self) -> int:
-        return 5
-
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
-    def context_at(self, t: int) -> np.ndarray:
-        return self._contexts[t]
-
-    def expected_reward(self, t: int, action: int) -> float:
-        cfg = self.config
-        if action == 0:
-            return cfg.safe_reward
-        if self._inside[t]:
-            return cfg.inner_reward
-        return cfg.outer_reward if action == self._quadrant[t] else cfg.inner_reward
-
-    def optimal_expected_reward(self, t: int) -> float:
-        cfg = self.config
-        if self._inside[t]:
-            return max(cfg.safe_reward, cfg.inner_reward)
-        return max(cfg.safe_reward, cfg.outer_reward)
+        contexts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        self._inside = np.hypot(contexts[:, 0], contexts[:, 1]) <= config.delta
+        expected = np.full((n, 5), config.inner_reward)
+        expected[:, 0] = config.safe_reward
+        outside = np.flatnonzero(~self._inside)
+        expected[outside, wheel_quadrant_actions(contexts[outside])] = config.outer_reward
+        super().__init__(contexts, expected)
 
     def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
         return self.expected_reward(t, action) + self.config.noise_sigma * rng.standard_normal()
@@ -153,15 +136,17 @@ class LinearConfig:
     def __post_init__(self):
         if self.dim < 1 or self.num_actions < 1 or self.horizon < 1:
             raise ValueError("dim, num_actions and horizon must be positive")
+        _require_finite(self, ("beta_variance", "context_mean"))
         if self.beta_variance <= 0:
             raise ValueError("beta_variance must be positive")
+        self.noise_vector()
 
     def noise_vector(self) -> np.ndarray:
         sig = np.broadcast_to(
             np.asarray(self.noise_sigma, dtype=np.float64), (self.num_actions,)
         ).copy()
-        if np.any(sig < 0):
-            raise ValueError("noise_sigma must be >= 0")
+        if not np.all(np.isfinite(sig) & (sig >= 0)):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         return sig
 
 
@@ -174,37 +159,13 @@ class SampledLinearBandit(Environment):
         rng = np.random.default_rng(seed)
         scale = math.sqrt(config.beta_variance)
         self.betas = scale * rng.standard_normal((config.num_actions, config.dim))
-        self._contexts = config.context_mean + rng.standard_normal(
-            (config.horizon, config.dim)
-        )
-        self._expected = self._contexts @ self.betas.T
-        self._optimal = self._expected.max(axis=1)
+        contexts = config.context_mean + rng.standard_normal((config.horizon, config.dim))
+        super().__init__(contexts, contexts @ self.betas.T)
         self._noise = config.noise_vector()
-
-    @property
-    def dim(self) -> int:
-        return self.config.dim
-
-    @property
-    def num_actions(self) -> int:
-        return self.config.num_actions
-
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
-    def context_at(self, t: int) -> np.ndarray:
-        return self._contexts[t]
-
-    def expected_reward(self, t: int, action: int) -> float:
-        return float(self._expected[t, action])
-
-    def optimal_expected_reward(self, t: int) -> float:
-        return float(self._optimal[t])
 
     def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
         return float(
-            self._expected[t, action] + self._noise[action] * rng.standard_normal()
+            self.expected[t, action] + self._noise[action] * rng.standard_normal()
         )
 
 
@@ -243,7 +204,11 @@ class DatasetSpec:
 
 
 class DatasetBandit(Environment):
-    """Contexts and per-action expected rewards backed by dataset rows."""
+    """Contexts and per-action expected rewards backed by dataset rows.
+
+    ``horizon`` (default: every row) may be shorter than the dataset, so each
+    trial's shuffle draws its steps from all the rows.
+    """
 
     def __init__(
         self,
@@ -254,39 +219,10 @@ class DatasetBandit(Environment):
         horizon: Optional[int] = None,
         dropped_rows: int = 0,
     ):
-        contexts = np.asarray(contexts, dtype=np.float64)
-        rewards = np.asarray(rewards, dtype=np.float64)
-        if contexts.ndim != 2 or rewards.ndim != 2 or len(contexts) != len(rewards):
-            raise ValueError("contexts must be (n, d) and rewards (n, k)")
-        if len(contexts) == 0:
-            raise ValueError("dataset is empty after dropping missing rows")
-        self._contexts = contexts
-        self._rewards = rewards
-        self._poisonous = poisonous
+        super().__init__(contexts, rewards, horizon)
         self.name = name
+        self._poisonous = poisonous
         self.dropped_rows = dropped_rows
-        n = len(contexts)
-        self._horizon = n if horizon is None else horizon
-        if not 1 <= self._horizon <= n:
-            raise ValueError(f"horizon must lie in [1, {n}]")
-
-    @property
-    def dim(self) -> int:
-        return self._contexts.shape[1]
-
-    @property
-    def num_actions(self) -> int:
-        return self._rewards.shape[1]
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    def context_at(self, t: int) -> np.ndarray:
-        return self._contexts[t]
-
-    def expected_reward(self, t: int, action: int) -> float:
-        return float(self._rewards[t, action])
 
     def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
         if self._poisonous is not None and action == MUSHROOM_EAT and self._poisonous[t]:
@@ -295,17 +231,17 @@ class DatasetBandit(Environment):
                 if rng.random() < 0.5
                 else MUSHROOM_POISON_BAD
             )
-        return float(self._rewards[t, action])
+        return self.expected_reward(t, action)
 
     def shuffled(self, seed: int) -> "DatasetBandit":
         """Copy with rows permuted under the trial seed."""
-        perm = np.random.default_rng(seed).permutation(len(self._contexts))
+        perm = np.random.default_rng(seed).permutation(len(self.contexts))
         return DatasetBandit(
-            self._contexts[perm],
-            self._rewards[perm],
+            self.contexts[perm],
+            self.expected[perm],
             self.name,
             poisonous=None if self._poisonous is None else self._poisonous[perm],
-            horizon=self._horizon,
+            horizon=self.horizon,
             dropped_rows=self.dropped_rows,
         )
 
@@ -315,33 +251,16 @@ class ConstantFeatureEnv(Environment):
 
     Homogeneous linear models cannot represent rewards with a nonzero
     baseline (the wheel's safe arm pays 1.2 everywhere); the extra coordinate
-    gives them an intercept without touching agent internals.
+    gives them an intercept without touching agent internals.  The expected
+    rewards are the inner environment's own array, and its reward noise is
+    the inner environment's.
     """
 
     def __init__(self, inner: Environment):
         self.inner = inner
         self.name = inner.name + "+const"
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim + 1
-
-    @property
-    def num_actions(self) -> int:
-        return self.inner.num_actions
-
-    @property
-    def horizon(self) -> int:
-        return self.inner.horizon
-
-    def context_at(self, t: int) -> np.ndarray:
-        return np.concatenate([self.inner.context_at(t), [1.0]])
-
-    def expected_reward(self, t: int, action: int) -> float:
-        return self.inner.expected_reward(t, action)
-
-    def optimal_expected_reward(self, t: int) -> float:
-        return self.inner.optimal_expected_reward(t)
+        ones = np.ones((len(inner.contexts), 1))
+        super().__init__(np.hstack([inner.contexts, ones]), inner.expected, inner.horizon)
 
     def realize_reward(self, t: int, action: int, rng: np.random.Generator) -> float:
         return self.inner.realize_reward(t, action, rng)

@@ -164,7 +164,7 @@ def test_build_env_factory_variants(tmp_path):
     factory = build_env_factory(ds)
     a, b = factory(0), factory(1)
     assert a.num_actions == 2
-    assert not np.array_equal(a._contexts, b._contexts)  # per-trial shuffles
+    assert not np.array_equal(a.contexts, b.contexts)  # per-trial shuffles
     bad = parse_config("[environment]\nname=wheel\ndelta=0.5\nnoise_sigma=-1.0\n")
     with pytest.raises(ConfigError, match="environment setup failed"):
         build_env_factory(bad)
@@ -362,6 +362,47 @@ def test_a_bad_agent_value_fails_before_any_cell(workers, tmp_path, monkeypatch,
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.count("line 6: agent 'SGFS'") == 2
+    assert not log.exists()
+
+
+_DATASET = "name=dataset\npath={data}\nheader=false\ncategorical_columns=\nnumeric_columns=0\n"
+
+
+@pytest.mark.parametrize("environment, data, reason", [
+    ("name=wheel\ndelta=0.5\nnoise_sigma=nan", "", "noise_sigma must be finite, got nan"),
+    ("name=wheel\ndelta=0.5\nsafe_reward=nan", "", "safe_reward must be finite, got nan"),
+    ("name=wheel\ndelta=0.5\ninner_reward=-inf", "", "inner_reward must be finite, got -inf"),
+    ("name=wheel\ndelta=0.5\nouter_reward=inf", "", "outer_reward must be finite, got inf"),
+    ("name=linear\nbeta_variance=inf", "", "beta_variance must be finite, got inf"),
+    ("name=linear\ncontext_mean=nan", "", "context_mean must be finite, got nan"),
+    ("name=linear\nnoise_sigma=nan", "", "noise_sigma must be finite and >= 0, got nan"),
+    # finite inputs whose rewards overflow
+    ("name=linear\ncontext_mean=1e308\nbeta_variance=1e10", "",
+     "expected rewards must be finite: row 0 is not"),
+    (_DATASET + "reward_rule=classification\nlabel_column=1", "1.0,a\ninf,b\n3.0,a\n",
+     "contexts must be finite: row 1 is not"),
+    (_DATASET + "reward_rule=direct_columns\nreward_columns=1,2", "1.0,0.5,1.0\n2.0,-inf,1.0\n",
+     "expected rewards must be finite: row 1 is not"),
+], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
+        "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
+        "dataset-context", "dataset-reward"])
+def test_a_non_finite_environment_value_fails_before_any_cell(
+    environment, data, reason, tmp_path, monkeypatch, capsys
+):
+    log = tmp_path / "cells.log"
+    monkeypatch.setattr(bench, "run_trial", functools.partial(_logged_trial, log, bench.run_trial))
+    monkeypatch.chdir(tmp_path)
+    data_path = tmp_path / "d.csv"
+    data_path.write_text(data, encoding="utf-8")
+    path = tmp_path / "bad.cfg"
+    path.write_text(
+        f"[environment]\n{environment.format(data=data_path)}\n"
+        '[agent "LinGreedy"]\n[run]\ntrials=1\nhorizon=2\n',
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.count(reason) == 2
     assert not log.exists()
 
 

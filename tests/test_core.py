@@ -30,27 +30,9 @@ class TableEnv(Environment):
                  horizon: int = 40, noise: float = 0.1):
         rng = np.random.default_rng(seed)
         self.name = "table"
-        self._contexts = rng.standard_normal((horizon, dim))
-        self._weights = rng.standard_normal((num_actions, dim))
+        contexts = rng.standard_normal((horizon, dim))
+        super().__init__(contexts, contexts @ rng.standard_normal((num_actions, dim)).T)
         self._noise = noise
-
-    @property
-    def dim(self):
-        return self._contexts.shape[1]
-
-    @property
-    def num_actions(self):
-        return self._weights.shape[0]
-
-    @property
-    def horizon(self):
-        return self._contexts.shape[0]
-
-    def context_at(self, t):
-        return self._contexts[t]
-
-    def expected_reward(self, t, action):
-        return float(self._contexts[t] @ self._weights[action])
 
     def realize_reward(self, t, action, rng):
         return self.expected_reward(t, action) + self._noise * rng.standard_normal()
@@ -177,9 +159,33 @@ def test_invalid_actions_are_contract_violations():
 
 def test_invalid_context_is_a_contract_violation():
     env = TableEnv(seed=1, horizon=5)
-    env._contexts[3, 0] = np.nan
-    with pytest.raises(ContractViolation):
-        run_trial(env, RecordingAgent(), seed=0, warmup_pulls=0)
+    env.contexts[3, 0] = np.nan
+    agent = RecordingAgent()
+    with pytest.raises(ContractViolation, match="'table' produced an invalid context at step 3$"):
+        run_trial(env, agent, seed=0, warmup_pulls=0)
+    assert agent.observed == []  # checked before the first step
+
+
+def test_environment_base_holds_two_arrays():
+    contexts = np.arange(12.0).reshape(4, 3)
+    expected = np.array([[1.0, 2.0], [4.0, 3.0], [0.0, 0.0], [-1.0, -2.0]])
+    env = Environment(contexts, expected, horizon=3)
+    assert (env.dim, env.num_actions, env.horizon) == (3, 2, 3)
+    np.testing.assert_array_equal(env.context_at(1), [3.0, 4.0, 5.0])
+    assert env.expected_reward(1, 1) == 3.0
+    assert [env.optimal_expected_reward(t) for t in range(4)] == [2.0, 4.0, 0.0, -1.0]
+    assert env.realize_reward(0, 1, np.random.default_rng(0)) == 2.0  # noiseless
+    with pytest.raises(ValueError, match=r"horizon must lie in \[1, 4\]"):
+        Environment(contexts, expected, horizon=5)
+    with pytest.raises(ValueError, match="contexts must be"):
+        Environment(contexts[0], expected)
+    with pytest.raises(ValueError, match="contexts must be"):
+        Environment(contexts, expected[:3])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="contexts must be finite: row 2"):
+            Environment(np.where(contexts == 7.0, bad, contexts), expected)
+        with pytest.raises(ValueError, match="expected rewards must be finite: row 3"):
+            Environment(contexts, np.where(expected == -2.0, -bad, expected))
 
 
 @pytest.mark.parametrize("method", ["realize_reward", "optimal_expected_reward"])

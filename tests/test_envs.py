@@ -1,5 +1,7 @@
 """Environment behavior: wheel geometry, linear models, dataset loading."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from banditbench import (
     DatasetSpec,
     LinearConfig,
     SampledLinearBandit,
+    UniformAgent,
     WheelBandit,
     WheelConfig,
     dataset_load,
     jester_env,
     mushroom_env,
+    run_trial,
 )
-from banditbench.envs import wheel_quadrant_action
+from banditbench.envs import wheel_quadrant_actions
 
 
 def test_wheel_config_validation():
@@ -29,38 +33,48 @@ def test_wheel_config_validation():
 
 def test_wheel_contexts_fill_the_unit_disk():
     env = WheelBandit(WheelConfig(delta=0.5, horizon=4000), seed=0)
-    radii = np.hypot(env._contexts[:, 0], env._contexts[:, 1])
+    radii = np.hypot(env.contexts[:, 0], env.contexts[:, 1])
     assert np.all(radii <= 1.0)
     assert radii.max() > 0.99     # uniform-area law reaches the rim
     assert np.mean(radii <= 0.5) == pytest.approx(0.25, abs=0.03)
 
 
 def test_wheel_quadrant_assignment():
-    assert wheel_quadrant_action(np.array([0.3, 0.4])) == 1
-    assert wheel_quadrant_action(np.array([0.3, -0.4])) == 2
-    assert wheel_quadrant_action(np.array([-0.3, -0.4])) == 3
-    assert wheel_quadrant_action(np.array([-0.3, 0.4])) == 4
-    # zero coordinates count as positive
-    assert wheel_quadrant_action(np.array([0.0, 0.0])) == 1
-    assert wheel_quadrant_action(np.array([0.0, -1.0])) == 2
-    assert wheel_quadrant_action(np.array([-1.0, 0.0])) == 4
+    rows = np.array([
+        [0.3, 0.4], [0.3, -0.4], [-0.3, -0.4], [-0.3, 0.4],
+        # zero coordinates count as positive
+        [0.0, 0.0], [0.0, -1.0], [-1.0, 0.0],
+    ])
+    np.testing.assert_array_equal(wheel_quadrant_actions(rows), [1, 2, 3, 4, 1, 2, 4])
 
 
 def test_wheel_reward_table():
     env = WheelBandit(WheelConfig(delta=0.6, horizon=500), seed=3)
-    inside = int(np.argmax(env._inside))
-    outside = int(np.argmax(~env._inside))
-    assert env.expected_reward(inside, 0) == 1.2
-    for a in range(1, 5):
-        assert env.expected_reward(inside, a) == 1.0
-    assert env.optimal_expected_reward(inside) == 1.2
-    hot = env._quadrant[outside]
-    assert env.expected_reward(outside, 0) == 1.2
-    assert env.expected_reward(outside, hot) == 50.0
-    for a in range(1, 5):
-        if a != hot:
-            assert env.expected_reward(outside, a) == 1.0
-    assert env.optimal_expected_reward(outside) == 50.0
+    assert env.expected.shape == (500, 5)
+    inside, outside = env.expected[env._inside], env.expected[~env._inside]
+    assert len(inside) and len(outside)
+    np.testing.assert_array_equal(inside, np.tile([1.2, 1.0, 1.0, 1.0, 1.0], (len(inside), 1)))
+    # outside, only the action of the context's quadrant pays 50
+    hot = wheel_quadrant_actions(env.contexts[~env._inside])
+    want = np.tile([1.2, 1.0, 1.0, 1.0, 1.0], (len(outside), 1))
+    want[np.arange(len(outside)), hot] = 50.0
+    np.testing.assert_array_equal(outside, want)
+    t_in, t_out = int(np.argmax(env._inside)), int(np.argmax(~env._inside))
+    assert env.expected_reward(t_in, 0) == 1.2
+    assert env.optimal_expected_reward(t_in) == 1.2
+    assert env.expected_reward(t_out, int(hot[0])) == 50.0
+    assert env.optimal_expected_reward(t_out) == 50.0
+
+
+def test_wheel_regret_is_never_negative_when_the_inner_reward_is_best():
+    # inner_reward 60 beats outer_reward 50: outside the radius the four
+    # non-safe actions pay 60 but the quadrant's, so the best reward is 60
+    env = WheelBandit(WheelConfig(delta=0.5, horizon=300, inner_reward=60.0), seed=0)
+    np.testing.assert_array_equal(
+        [env.optimal_expected_reward(t) for t in range(300)], np.full(300, 60.0)
+    )
+    trace = run_trial(env, UniformAgent(5), seed=0)
+    assert trace.instantaneous_regret().min() >= 0.0
 
 
 def test_wheel_noise_statistics():
@@ -85,8 +99,9 @@ def test_wheel_same_seed_same_contexts():
     a = WheelBandit(WheelConfig(delta=0.5, horizon=100), seed=11)
     b = WheelBandit(WheelConfig(delta=0.5, horizon=100), seed=11)
     c = WheelBandit(WheelConfig(delta=0.5, horizon=100), seed=12)
-    np.testing.assert_array_equal(a._contexts, b._contexts)
-    assert not np.array_equal(a._contexts, c._contexts)
+    np.testing.assert_array_equal(a.contexts, b.contexts)
+    np.testing.assert_array_equal(a.expected, b.expected)
+    assert not np.array_equal(a.contexts, c.contexts)
 
 
 def test_linear_env_expected_and_optimal():
@@ -109,6 +124,8 @@ def test_linear_env_per_action_noise_vector():
     np.testing.assert_array_equal(scalar.noise_vector(), [0.5, 0.5, 0.5])
     with pytest.raises(ValueError):
         LinearConfig(dim=2, num_actions=3, horizon=10, noise_sigma=-1.0).noise_vector()
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        LinearConfig(dim=2, num_actions=3, horizon=10, noise_sigma=(0.5, float("inf"), 0.5))
     with pytest.raises(ValueError):
         LinearConfig(dim=0, num_actions=3, horizon=10)
 
@@ -117,11 +134,11 @@ def test_linear_env_context_mean_shift():
     shifted = SampledLinearBandit(
         LinearConfig(dim=6, num_actions=2, horizon=5000, context_mean=2.0), seed=4
     )
-    assert shifted._contexts.mean() == pytest.approx(2.0, abs=0.05)
+    assert shifted.contexts.mean() == pytest.approx(2.0, abs=0.05)
     centered = SampledLinearBandit(
         LinearConfig(dim=6, num_actions=2, horizon=5000), seed=4
     )
-    assert centered._contexts.mean() == pytest.approx(0.0, abs=0.05)
+    assert centered.contexts.mean() == pytest.approx(0.0, abs=0.05)
 
 
 def test_constant_feature_wrapper():
@@ -131,9 +148,10 @@ def test_constant_feature_wrapper():
     assert env.num_actions == 5
     assert env.horizon == 20
     assert env.name.endswith("+const")
-    x = env.context_at(7)
-    np.testing.assert_array_equal(x[:2], inner.context_at(7))
-    assert x[2] == 1.0
+    np.testing.assert_array_equal(env.contexts[:, :2], inner.contexts)
+    np.testing.assert_array_equal(env.contexts[:, 2], np.ones(20))
+    np.testing.assert_array_equal(env.context_at(7), [*inner.context_at(7), 1.0])
+    assert env.expected is inner.expected  # shared, not copied
     assert env.expected_reward(7, 3) == inner.expected_reward(7, 3)
     assert env.optimal_expected_reward(7) == inner.optimal_expected_reward(7)
     r1 = env.realize_reward(7, 3, np.random.default_rng(1))
@@ -316,9 +334,9 @@ def test_missing_tokens_drop_rows(tmp_path):
             categorical_columns=(),
         )
     )
-    assert len(env._contexts) == 2
+    assert len(env.contexts) == 2
     assert env.dropped_rows == 3
-    np.testing.assert_array_equal(env._contexts[:, 0], [1.0, 3.0])
+    np.testing.assert_array_equal(env.contexts[:, 0], [1.0, 3.0])
 
 
 def test_ragged_rows_rejected(tmp_path):
@@ -351,7 +369,7 @@ def test_quoted_cell_keeps_its_delimiter(tmp_path):
         )
     )
     assert env.num_actions == 2  # "cat,black" and "dog"
-    np.testing.assert_array_equal(env._contexts[:, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(env.contexts[:, 0], [1.0, 2.0, 3.0])
     assert [env.expected_reward(t, 0) for t in range(3)] == [1.0, 0.0, 1.0]
 
 
@@ -386,11 +404,11 @@ def test_shuffle_is_deterministic_and_seed_sensitive(tmp_path):
     s1 = env.shuffled(7)
     s2 = env.shuffled(7)
     s3 = env.shuffled(8)
-    np.testing.assert_array_equal(s1._contexts, s2._contexts)
-    assert not np.array_equal(s1._contexts, s3._contexts)
-    assert sorted(s1._contexts[:, 0]) == sorted(env._contexts[:, 0])
+    np.testing.assert_array_equal(s1.contexts, s2.contexts)
+    assert not np.array_equal(s1.contexts, s3.contexts)
+    assert sorted(s1.contexts[:, 0]) == sorted(env.contexts[:, 0])
     # rewards travel with their contexts
-    i = int(np.argmax(s1._contexts[:, 0] == 4.0))
+    i = int(np.argmax(s1.contexts[:, 0] == 4.0))
     assert s1.expected_reward(i, 0) == env.expected_reward(4, 0)
 
 
@@ -436,3 +454,37 @@ def test_unknown_reward_rule_rejected(tmp_path):
 def test_delimiter_must_be_one_plain_character(delimiter):
     with pytest.raises(ValueError, match="delimiter"):
         DatasetSpec(path="x.csv", reward_rule="classification", delimiter=delimiter)
+
+
+def _per_step_digest(env, horizon):
+    """sha256 updated once per step with that step's context bytes."""
+    digest = hashlib.sha256()
+    for t in range(horizon):
+        digest.update(np.asarray(env.context_at(t), dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_context_digest_is_one_update_per_step(tmp_path):
+    rows = "".join(f"{i}.25,{i % 3},{i % 2}\n" for i in range(40))
+    dataset = dataset_load(
+        DatasetSpec(
+            path=write(tmp_path / "d.csv", rows),
+            reward_rule="song_gaussian",
+            header=False,
+            label_column=2,
+            numeric_columns=(0, 1),
+            categorical_columns=(),
+            num_actions=2,
+            horizon=25,
+        )
+    ).shuffled(5)
+    assert dataset.horizon < 40
+    envs = [
+        ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95, horizon=50), seed=1)),
+        SampledLinearBandit(LinearConfig(dim=4, num_actions=3, horizon=50), seed=2),
+        dataset,
+    ]
+    for env in envs:
+        for horizon in (env.horizon, 7):
+            trace = run_trial(env, UniformAgent(env.num_actions), seed=0, horizon=horizon)
+            assert trace.context_digest == _per_step_digest(env, horizon)
