@@ -135,7 +135,8 @@ class Environment:
     """A fixed sequence of contexts and the expected reward of every action.
 
     The two arrays are the whole environment: ``contexts`` (n, d) and
-    ``expected`` (n, k), both float64 and finite, with step t reading row t.
+    ``expected`` (n, k), both float64 and finite, with step t reading row t;
+    each context row's squared norm must be finite too.
     ``horizon`` (default n) is how many of the rows a trial may use.  A
     subclass passes its arrays here and writes ``realize_reward``, its reward
     noise; the default is noiseless, the expected reward itself.
@@ -155,6 +156,12 @@ class Environment:
             if not finite.all():
                 row = int(np.argmin(finite.all(axis=1)))
                 raise ValueError(f"{what} must be finite: row {row} is not")
+        # every posterior accumulates x x', which such a row would overflow
+        with np.errstate(over="ignore"):
+            square_norms = np.einsum("ij,ij->i", contexts, contexts)
+        if not np.isfinite(square_norms).all():
+            row = int(np.argmin(np.isfinite(square_norms)))
+            raise ValueError(f"contexts must have a finite squared norm: row {row} does not")
         self._horizon = n if horizon is None else horizon
         if not 1 <= self._horizon <= n:
             raise ValueError(f"horizon must lie in [1, {n}]")

@@ -17,10 +17,16 @@ minimizer among diagonal Gaussians); ``"precision_diag"`` inverts the
 precision's diagonal (the KL(q||p) minimizer), which shrinks the variances
 whenever the posterior is correlated.  The projection affects sampling only;
 means stay the exact ridge means.
+
+Each arm carries a covariance root S (S S' = precision^-1) and its mean.  A
+single observation updates both in O(d^2); a batch update, or an arm's
+first read, refactors the precision, so S is upper-triangular only right
+after a refactor.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -34,14 +40,20 @@ APPROXIMATIONS = ("exact", "diag", "precision_diag")
 
 
 class _RidgePosterior:
-    """Ridge statistics, means and inverse factors of a batch of arms.
+    """Ridge statistics, means and covariance roots of a batch of arms.
 
-    An update marks its arm stale; the next read refactors the stale arms.
-    The upper Cholesky factor R of an arm's precision gives its mean
-    (``cho_solve``) and its inverse factor U = R^-1 (LAPACK ``trtri``, a
-    third of the flops of solving R U = I), with U U' = precision^-1,
-    through which ``sample`` draws every arm in one product.  The greedy
-    agent uses this class bare, for ``mean``.
+    Each arm keeps its mean and a root S of its covariance, S S' =
+    precision^-1, through which ``sample`` draws every arm in one product.
+    A single-row ``update`` of a fresh arm carries both forward in O(d^2),
+    without a factorization: with v = S'x, w = S v, s = v'v and
+    r = sqrt(1 + s), Potter's square-root form S <- S - w v' / (r (r + 1))
+    and the Kalman step mu <- mu + w (y - x'mu) / (1 + s).  An arm is stale
+    before its first read and after a ``batch_update`` or any update that
+    does not name a single arm; the next read refactors it.  The upper
+    Cholesky factor R of its precision gives the mean (``cho_solve``) and
+    S = R^-1 (LAPACK ``trtri``, a third of the flops of solving R S = I), so
+    S is upper-triangular only right after a refactor.  The greedy agent uses
+    this class bare, for ``mean``.
     """
 
     def __init__(self, dim: int, ridge: float, *, arms: tuple = ()):
@@ -61,18 +73,37 @@ class _RidgePosterior:
         self.count = np.zeros(arms, dtype=np.int64)
         self._stale = np.ones(arms, dtype=bool)
         self._mean = np.empty(arms + (dim,))
-        self._inv_factor = np.empty(arms + (dim, dim))
+        self._cov_root = np.empty(arms + (dim, dim))
+        # marginal variances (the "diag" projection), refreshed when read
+        self._var = np.empty(arms + (dim,))
+        self._var_stale = np.ones(arms, dtype=bool)
 
     def update(self, x: np.ndarray, y: float, arm=()) -> None:
         """Rank-one update of ``arm`` with a single (x, y) pair."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"expected context of shape ({self.dim},)")
+        fresh = np.ndim(self._stale[arm]) == 0 and not self._stale[arm]
+        if fresh:
+            root = self._cov_root[arm]
+            v = x @ root
+            s = v @ v
+            innovation = y - x @ self._mean[arm]
+            if not (math.isfinite(s) and math.isfinite(innovation)):
+                raise ValueError(f"update of arm {arm} is not finite: "
+                                 f"x'P^-1 x = {s}, innovation {innovation}")
         self.precision[arm] += np.outer(x, x)
         self.bvec[arm] += x * y
         self.yy[arm] += y * y
         self.count[arm] += 1
-        self._stale[arm] = True
+        if fresh:
+            w = root @ v
+            r = math.sqrt(1.0 + s)
+            root -= np.outer(w / (r * (r + 1.0)), v)
+            self._mean[arm] += w * (innovation / (1.0 + s))
+            self._var_stale[arm] = True
+        else:
+            self._stale[arm] = True
 
     def batch_update(self, X: np.ndarray, Y: np.ndarray, arm=()) -> None:
         """Absorb a whole design matrix into ``arm``; equivalent to repeated update."""
@@ -87,15 +118,16 @@ class _RidgePosterior:
         self._stale[arm] = True
 
     def _factor(self) -> None:
-        """Refresh the inverse factor and mean of every stale arm."""
+        """Refactor the covariance root and mean of every stale arm."""
         for arm in map(tuple, np.argwhere(self._stale)):
             R = cholesky(self.precision[arm], lower=False)
             self._mean[arm] = cho_solve((R, False), self.bvec[arm])
             U, info = dtrtri(R, lower=0)
             if info != 0:
                 raise LinAlgError(f"triangular inverse failed (trtri info {info})")
-            self._inv_factor[arm] = U
+            self._cov_root[arm] = U
             self._stale[arm] = False
+            self._var_stale[arm] = True
 
     @property
     def mean(self) -> np.ndarray:
@@ -106,13 +138,17 @@ class _RidgePosterior:
     def covariance(self) -> np.ndarray:
         """Full precision inverse (the unit-noise posterior covariance)."""
         self._factor()
-        return self._inv_factor @ np.swapaxes(self._inv_factor, -1, -2)
+        return self._cov_root @ np.swapaxes(self._cov_root, -1, -2)
 
     def covariance_diagonal(self, approximation: str) -> np.ndarray:
         """Per-coordinate variances of the named diagonal projection."""
         if approximation == "diag":
             self._factor()
-            return np.sum(self._inv_factor**2, axis=-1)
+            changed = self._var_stale
+            if changed.any():
+                self._var[changed] = np.sum(self._cov_root[changed] ** 2, axis=-1)
+                changed[...] = False
+            return self._var
         if approximation == "precision_diag":
             return 1.0 / np.diagonal(self.precision, axis1=-2, axis2=-1)
         raise ValueError(f"unknown approximation {approximation!r}")
@@ -121,7 +157,7 @@ class _RidgePosterior:
         """mean + sqrt(sigma_sq) * C^(1/2) z, C the chosen covariance shape."""
         mean = self.mean
         if approximation == "exact":
-            noise = (self._inv_factor @ z[..., None])[..., 0]
+            noise = (self._cov_root @ z[..., None])[..., 0]
         else:
             noise = np.sqrt(self.covariance_diagonal(approximation)) * z
         return mean + np.sqrt(sigma_sq)[..., None] * noise

@@ -379,13 +379,16 @@ _DATASET = "name=dataset\npath={data}\nheader=false\ncategorical_columns=\nnumer
     # finite inputs whose rewards overflow
     ("name=linear\ncontext_mean=1e308\nbeta_variance=1e10", "",
      "expected rewards must be finite: row 0 is not"),
+    # finite contexts whose outer products overflow
+    ("name=linear\ndim=2\nnum_actions=1\ncontext_mean=1e308", "",
+     "contexts must have a finite squared norm: row 0 does not"),
     (_DATASET + "reward_rule=classification\nlabel_column=1", "1.0,a\ninf,b\n3.0,a\n",
      "contexts must be finite: row 1 is not"),
     (_DATASET + "reward_rule=direct_columns\nreward_columns=1,2", "1.0,0.5,1.0\n2.0,-inf,1.0\n",
      "expected rewards must be finite: row 1 is not"),
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
-        "dataset-context", "dataset-reward"])
+        "linear-square-overflow", "dataset-context", "dataset-reward"])
 def test_a_non_finite_environment_value_fails_before_any_cell(
     environment, data, reason, tmp_path, monkeypatch, capsys
 ):

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditbench import (
     FixedNoiseLinearPosterior,
+    LinearConfig,
     LinearGreedyAgent,
     LinearThompsonAgent,
     NIGLinearPosterior,
     Observation,
+    SampledLinearBandit,
+    linear,
+    run_trial,
 )
+from banditbench.presets import get_preset
 
 
 def direct_stats(X, Y, ridge, a0, b0):
@@ -95,8 +100,10 @@ def test_online_matches_batch_update():
     online=st.integers(0, 40),
     batched=st.integers(0, 200),
     scale=st.floats(1e-2, 1e3),
+    read_each=st.booleans(),
 )
-def test_stacked_arm_equals_a_single_posterior(seed, dim, arms, online, batched, scale):
+def test_stacked_arm_equals_a_single_posterior(seed, dim, arms, online, batched, scale,
+                                               read_each):
     rng = np.random.default_rng(seed)
     n = online + batched
     X = rng.standard_normal((n, dim)) + 2.0
@@ -107,6 +114,11 @@ def test_stacked_arm_equals_a_single_posterior(seed, dim, arms, online, batched,
     for x, y, a in zip(X[:online], Y[:online], actions[:online]):
         stacked.update(x, float(y), a)
         singles[a].update(x, float(y))
+        if read_each:  # a read refreshes every arm; later rows take the root update
+            for b, single in enumerate(singles):
+                np.testing.assert_array_equal(stacked.mean[b], single.mean)
+                np.testing.assert_array_equal(stacked.covariance_diagonal("diag")[b],
+                                              single.covariance_diagonal("diag"))
     for a, single in enumerate(singles):
         rows = online + np.flatnonzero(actions[online:] == a)
         stacked.batch_update(X[rows], Y[rows], a)
@@ -146,6 +158,71 @@ def test_b_matches_the_stable_residual_form(seed, dim, n, scale, noise, shift):
     mu = post.mean
     stable = 6.0 + 0.5 * (np.sum((Y - X @ mu) ** 2) + 0.25 * mu @ mu)
     assert post.b == pytest.approx(stable, rel=1e-6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    n=st.integers(1, 20_000),
+    scale=st.floats(1e-2, 1e3),
+    shift=st.floats(0.0, 10.0),
+)
+@example(seed=3, dim=5, n=100_000, scale=1e3, shift=10.0)
+def test_root_updates_match_a_refactor(seed, dim, n, scale, shift):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim)) + shift
+    Y = scale * (X @ rng.standard_normal(dim) + rng.standard_normal(n))
+    online = NIGLinearPosterior(dim)
+    for x, y in zip(X, Y):
+        online.update(x, float(y))
+        online.mean  # the arm is fresh from here on: each row updates its root
+    batch = NIGLinearPosterior(dim)
+    batch.batch_update(X, Y)
+    for got, want in (
+        (online.mean, batch.mean),
+        (online.covariance(), batch.covariance()),
+        (online.covariance_diagonal("diag"), batch.covariance_diagonal("diag")),
+        (online.b, batch.b),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
+
+
+def test_a_trial_refactors_each_arm_once(monkeypatch):
+    calls = []
+    cholesky = linear.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "cholesky", counted)
+    env = SampledLinearBandit(LinearConfig(dim=5, num_actions=4, horizon=300), seed=0)
+    run_trial(env, get_preset("LinPost").make(5, 4, 300, 0), seed=0)
+    # all four arms are stale at the first decision, and never again
+    assert len(calls) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("x, y", [(np.full(3, 1e200), 1.0), (np.ones(3), np.nan)],
+                         ids=["overflowing-context", "nan-reward"])
+def test_a_non_finite_root_update_raises_before_writing(x, y):
+    post = FixedNoiseLinearPosterior(3, arms=(2,))
+    rng = np.random.default_rng(0)
+    post.batch_update(rng.standard_normal((5, 3)), rng.standard_normal(5), 0)
+    post.mean  # both arms fresh
+    before = [post.precision.copy(), post.bvec.copy(), post.yy.copy(), post.count.copy(),
+              post.mean.copy(), post._cov_root.copy()]
+    with pytest.raises(ValueError, match="arm 0 is not finite"):
+        post.update(x, y, 0)
+    after = [post.precision, post.bvec, post.yy, post.count, post.mean, post._cov_root]
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(old, new)
+    # a stale arm takes the row and raises at its next read
+    post.batch_update(np.zeros((0, 3)), np.zeros(0), 1)
+    post.update(x, y, 1)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        post.mean
 
 
 def test_b_stays_positive_on_exactly_linear_data():
