@@ -222,7 +222,7 @@ def parse_config(text: str) -> BenchmarkConfig:
         else:  # run
             if key not in _RUN_SCHEMA:
                 raise ConfigError(f"unknown [run] key {key!r}", line_no)
-            current[key] = _convert(value, _RUN_SCHEMA[key], key, line_no)
+            current[key] = (_convert(value, _RUN_SCHEMA[key], key, line_no), line_no)
 
     if env_raw is None:
         raise ConfigError("missing [environment] section")
@@ -248,15 +248,10 @@ def parse_config(text: str) -> BenchmarkConfig:
             )
 
     run = RunSettings()
-    if run_raw:
-        for key, value in run_raw.items():
-            setattr(run, key, value)
-    if run.trials < 1:
-        raise ConfigError("trials must be positive")
-    if run.horizon is not None and run.horizon < 1:
-        raise ConfigError("horizon must be positive")
-    if run.workers < 1:
-        raise ConfigError("workers must be positive")
+    for key, (value, line_no) in (run_raw or {}).items():
+        if key in ("trials", "horizon", "workers") and value < 1:
+            raise ConfigError(f"{key} must be positive", line_no)
+        setattr(run, key, value)
 
     return BenchmarkConfig(environment=environment, agents=agents, run=run)
 

@@ -7,15 +7,19 @@ fit per-action reward heads, RMSProp, and the mini-batch training schedule.
 Gradients are computed manually so they can be checked against finite
 differences and reused by the reparameterized variational nets.
 
-Every function computes in the dtype of the parameters it is given: inputs,
-masks, targets and gradients are cast to it, and noise is drawn in it.
-``mlp_init`` builds float64 nets, which the gradchecks use; the agents train
-float32 copies (``neural.TRAIN_DTYPE``).
+A net's parameters are views into one vector, ``MLP.flat``, laid out by
+``param_layout`` alone; gradients, RMSProp state and noise are whole vectors
+of that layout.  Every function computes in the dtype of the parameters it is
+given: inputs, masks, targets and gradients are cast to it, and noise is drawn
+in it.  ``mlp_init`` builds float64 nets, which the gradchecks use; the agents
+train float32 copies (``neural.TRAIN_DTYPE``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -33,48 +37,68 @@ def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-@dataclass
-class MLP:
-    """Parameter container; ``weights[l]`` maps layer l inputs to outputs."""
+@functools.lru_cache(maxsize=None)
+def param_layout(sizes: tuple[int, ...], layer_norm: bool) -> tuple[tuple, ...]:
+    """The one place a net's parameter layout is decided: (kind, shape, start,
+    stop) of each parameter in ``MLP.flat``, per layer its weights and biases,
+    then a hidden layer's gain and shift when the net uses layer norm."""
+    layout, start = [], 0
+    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes = [("weights", (fan_in, fan_out)), ("biases", (fan_out,))]
+        if layer_norm and l < len(sizes) - 2:
+            shapes += [("gains", (fan_out,)), ("shifts", (fan_out,))]
+        for kind, shape in shapes:
+            stop = start + math.prod(shape)
+            layout.append((kind, shape, start, stop))
+            start = stop
+    return tuple(layout)
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    gains: Optional[list[np.ndarray]] = None   # layer-norm scale, hidden layers
-    shifts: Optional[list[np.ndarray]] = None  # layer-norm offset, hidden layers
+
+def check_shape(what: str, vector: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Refuse a vector numpy would otherwise broadcast over every parameter."""
+    if np.shape(vector) != shape:
+        raise ValueError(f"{what} has shape {np.shape(vector)}, the parameters {shape}")
+
+
+class MLP:
+    """Parameters as views into one vector, ``flat``, laid out by ``param_layout``.
+
+    ``weights[l]`` maps layer l inputs to outputs; ``gains`` and ``shifts``
+    are empty unless the net uses layer norm."""
+
+    def __init__(self, sizes: Sequence[int], flat: np.ndarray, layer_norm: bool = False):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.layer_norm = layer_norm
+        self._layout = param_layout(self.sizes, layer_norm)
+        check_shape("flat", flat, (self._layout[-1][-1],))
+        self.flat = flat
+        self.weights, self.biases, self.gains, self.shifts = [], [], [], []
+        for (kind, *_), view in zip(self._layout, self.split(flat)):
+            getattr(self, kind).append(view)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the views from the one vector
+        return MLP, (self.sizes, self.flat, self.layer_norm)
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
-
-    @property
-    def layer_norm(self) -> bool:
-        return self.gains is not None
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in a fixed order (weights, biases, norms)."""
-        params = []
-        for l in range(self.num_layers):
-            params.append(self.weights[l])
-            params.append(self.biases[l])
-            if self.layer_norm and l < self.num_layers - 1:
-                params.append(self.gains[l])
-                params.append(self.shifts[l])
-        return params
+        return len(self.sizes) - 1
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.flat.dtype
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out as ``flat``, one per parameter."""
+        return [vector[start:stop].reshape(shape) for _, shape, start, stop in self._layout]
+
+    def parameters(self) -> list[np.ndarray]:
+        """The parameter views in ``flat`` order (weights, biases, norms)."""
+        return self.split(self.flat)
 
     def astype(self, dtype) -> "MLP":
         """A copy with every parameter cast to ``dtype``."""
-        def cast(arrays):
-            return None if arrays is None else [a.astype(dtype) for a in arrays]
-
-        return MLP(cast(self.weights), cast(self.biases), cast(self.gains), cast(self.shifts))
+        return MLP(self.sizes, self.flat.astype(dtype), self.layer_norm)
 
     def copy(self) -> "MLP":
         return self.astype(self.dtype)
@@ -87,16 +111,13 @@ def mlp_init(
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("sizes must list at least input and output widths")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    gains = shifts = None
-    if layer_norm:
-        gains = [np.ones(s) for s in sizes[1:-1]]
-        shifts = [np.zeros(s) for s in sizes[1:-1]]
-    return MLP(weights, biases, gains, shifts)
+    net = MLP(sizes, np.zeros(param_layout(sizes, layer_norm)[-1][-1]), layer_norm)
+    for W in net.weights:
+        limit = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    for gain in net.gains:
+        gain[...] = 1.0
+    return net
 
 
 def make_dropout_masks(
@@ -171,12 +192,9 @@ def hidden_features(net: MLP, X: np.ndarray) -> np.ndarray:
     return _hidden_layers(net, X)
 
 
-def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> list[np.ndarray]:
-    """Gradients of a scalar loss given d(loss)/d(outputs).
-
-    Returns arrays aligned with ``net.parameters()``.
-    """
-    grads: list[list[np.ndarray]] = [[] for _ in range(net.num_layers)]
+def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss given d(loss)/d(outputs), laid out as ``net.flat``."""
+    grad = MLP(net.sizes, np.empty_like(net.flat), net.layer_norm)
     da = np.asarray(dout, dtype=net.dtype)
     for l in range(net.num_layers - 1, -1, -1):
         step = cache[l]
@@ -187,8 +205,8 @@ def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> list[np.ndarr
             dz = dz * step["relu"]
             if net.layer_norm:
                 xhat, inv = step["xhat"], step["inv"]
-                dgain = np.sum(dz * xhat, axis=0)
-                dshift = np.sum(dz, axis=0)
+                np.sum(dz * xhat, axis=0, out=grad.gains[l])
+                np.sum(dz, axis=0, out=grad.shifts[l])
                 dxhat = dz * net.gains[l]
                 h = xhat.shape[1]
                 dz = (inv / h) * (
@@ -196,18 +214,11 @@ def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> list[np.ndarr
                     - np.sum(dxhat, axis=1, keepdims=True)
                     - xhat * np.sum(dxhat * xhat, axis=1, keepdims=True)
                 )
-        dW = step["inp"].T @ dz
-        db = dz.sum(axis=0)
-        entry = [dW, db]
-        if net.layer_norm and l < net.num_layers - 1:
-            entry.extend([dgain, dshift])
-        grads[l] = entry
+        np.matmul(step["inp"].T, dz, out=grad.weights[l])
+        np.sum(dz, axis=0, out=grad.biases[l])
         if l > 0:
             da = dz @ net.weights[l].T
-    flat: list[np.ndarray] = []
-    for entry in grads:
-        flat.extend(entry)
-    return flat
+    return grad.flat
 
 
 def masked_mse(
@@ -231,29 +242,26 @@ def masked_mse(
 
 def perturb(net: MLP, sigma: float, rng: np.random.Generator) -> MLP:
     """Copy of the net with N(0, sigma^2) noise added to every parameter."""
-    noisy = net.copy()
-    for p in noisy.parameters():
-        p += sigma * rng.standard_normal(p.shape, dtype=p.dtype)
-    return noisy
+    noise = rng.standard_normal(net.flat.size, dtype=net.dtype)
+    return MLP(net.sizes, net.flat + sigma * noise, net.layer_norm)
 
 
 class RMSProp:
-    """Per-parameter RMSProp: acc = rho*acc + (1-rho)*g^2; step g/sqrt(acc+eps)."""
+    """RMSProp on one parameter vector: acc = rho*acc + (1-rho)*g^2; step g/sqrt(acc+eps)."""
 
-    def __init__(self, params: Sequence[np.ndarray], rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, rho: float = 0.9, eps: float = 1e-8):
         if not 0.0 <= rho < 1.0:
             raise ValueError("rho must lie in [0, 1)")
         self.rho = rho
         self.eps = eps
-        self.acc = [np.zeros_like(p) for p in params]
+        self.acc = np.zeros_like(params)
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float) -> None:
-        if len(params) != len(self.acc) or len(grads) != len(self.acc):
-            raise ValueError("parameter/gradient structure mismatch")
-        for p, g, a in zip(params, grads, self.acc):
-            a *= self.rho
-            a += (1.0 - self.rho) * g * g
-            p -= lr * g / np.sqrt(a + self.eps)
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        check_shape("parameter vector", params, self.acc.shape)
+        check_shape("gradient", grads, self.acc.shape)
+        self.acc *= self.rho
+        self.acc += (1.0 - self.rho) * grads * grads
+        params -= lr * grads / np.sqrt(self.acc + self.eps)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ class TrainableNet:
     @functools.cached_property
     def opt(self) -> RMSProp:
         # built on first use, so a subclass with its own update holds none
-        return RMSProp(self.net.parameters())
+        return RMSProp(self.net.flat)
 
     def batches_this_period(self) -> int:
         return self.schedule.batches_per_period
@@ -98,12 +98,11 @@ class TrainableNet:
         n = len(rewards)
         if n == 0:
             raise ValueError("cannot train on an empty history")
-        params = self.net.parameters()
         loss = 0.0
         for j in range(self.batches_this_period()):
             idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
             loss, grads = self._loss_and_grads(contexts[idx], actions[idx], rewards[idx], n)
-            self._step(params, grads, n, j)
+            self._step(grads, n, j)
         self.period += 1
         return loss
 
@@ -115,8 +114,8 @@ class TrainableNet:
         loss, dout = masked_mse(out, actions, rewards)
         return loss, mlp_backward(self.net, cache, dout)
 
-    def _step(self, params, grads, data_count, batch_index) -> None:
-        self.opt.step(params, grads, self.schedule.learning_rate(self.period, batch_index))
+    def _step(self, grads, data_count, batch_index) -> None:
+        self.opt.step(self.net.flat, grads, self.schedule.learning_rate(self.period, batch_index))
 
     def train_if_due(self, step: int, buffer: HistoryBuffer) -> bool:
         """Train one period on the whole history when ``step`` is due."""

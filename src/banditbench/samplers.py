@@ -8,8 +8,9 @@ precondition with a diagonal EMA of squared gradients (an empirical Fisher
 stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
 every weight and draws a fresh network at decision time.  All three train
 through ``neural.TrainableNet.train_period``, as the reward nets do, so they
-train in its float32; the functions here compute in the dtype of the
-parameters they are given and draw their noise in it.
+train in its float32.  The functions here work on whole vectors laid out as a
+net's ``flat`` (Fisher diagonal, chain steps, BBB's noise and gradient), check
+that each has the parameters' shape, and compute and draw noise in their dtype.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .mlp import (
     MLP,
     SeedLike,
     TrainingSchedule,
+    check_shape,
     masked_mse,
     mlp_backward,
     mlp_forward,
@@ -38,20 +40,18 @@ DIAG_FLOOR = 1e-10
 
 
 class FisherEMA:
-    """Diagonal EMA of squared gradients, one array per parameter."""
+    """Diagonal EMA of squared gradients, one vector laid out as the parameters."""
 
-    def __init__(self, params: Sequence[np.ndarray], decay: float = 0.9):
+    def __init__(self, params: np.ndarray, decay: float = 0.9):
         if not 0.0 <= decay < 1.0:
             raise ValueError("decay must lie in [0, 1)")
         self.decay = decay
-        self.diag = [np.zeros_like(p) for p in params]
+        self.diag = np.zeros_like(params)
 
-    def update(self, grads: Sequence[np.ndarray]) -> None:
-        if len(grads) != len(self.diag):
-            raise ValueError("gradient structure mismatch")
-        for d, g in zip(self.diag, grads):
-            d *= self.decay
-            d += (1.0 - self.decay) * g * g
+    def update(self, grads: np.ndarray) -> None:
+        check_shape("gradient", grads, self.diag.shape)
+        self.diag *= self.decay
+        self.diag += (1.0 - self.decay) * grads * grads
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class SGFSConfig:
 
 
 def sgfs_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     ema: FisherEMA,
     data_count: int,
     cfg: SGFSConfig,
@@ -91,13 +91,14 @@ def sgfs_step(
     inject = not skip_noise and cfg.noise_scale > 0.0
     if inject and rng is None:
         raise ValueError("rng required when noise is enabled")
-    for p, g, d in zip(params, grads, ema.diag):
-        diag = np.maximum(d, DIAG_FLOOR)
-        h = (2.0 / data_count) / ((1.0 + eps) * diag)
-        p -= eps * h * g
-        if inject:
-            nu = rng.standard_normal(p.shape, dtype=p.dtype)
-            p += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
+    check_shape("gradient", grads, params.shape)
+    check_shape("Fisher diagonal", ema.diag, params.shape)
+    diag = np.maximum(ema.diag, DIAG_FLOOR)
+    h = (2.0 / data_count) / ((1.0 + eps) * diag)
+    params -= eps * h * grads
+    if inject:
+        nu = rng.standard_normal(params.shape, dtype=params.dtype)
+        params += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ class ConstSGDConfig:
 
 
 def const_sgd_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     ema: FisherEMA,
     batch_size: int,
     data_count: int,
@@ -134,12 +135,14 @@ def const_sgd_step(
     inject = not skip_noise and cfg.noise_scale > 0.0
     if inject and rng is None:
         raise ValueError("rng required when noise is enabled")
+    check_shape("gradient", grads, params.shape)
+    check_shape("Fisher diagonal", ema.diag, params.shape)
     ratio = 2.0 * batch_size / data_count
-    for p, g, d in zip(params, grads, ema.diag):
-        eps = ratio / np.maximum(d, DIAG_FLOOR)
-        p -= eps * g
-        if inject:
-            p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape, dtype=p.dtype)
+    eps = ratio / np.maximum(ema.diag, DIAG_FLOOR)
+    params -= eps * grads
+    if inject:
+        params += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(
+            params.shape, dtype=params.dtype)
 
 
 class _SGChainAgent(TrainableNet, Agent):
@@ -163,7 +166,7 @@ class _SGChainAgent(TrainableNet, Agent):
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         super().__init__(dim, num_actions, schedule, seed, hidden)
-        self.ema = FisherEMA(self.net.parameters(), ema_decay)
+        self.ema = FisherEMA(self.net.flat, ema_decay)
         self.buffer = HistoryBuffer(dim, num_actions)
         self.burn_in = burn_in
         self.name = name
@@ -198,9 +201,9 @@ class SGFSAgent(_SGChainAgent):
         super().__init__(dim, num_actions, seed, name=name, **chain)
         self.cfg = SGFSConfig(step_size=step_size, noise_scale=noise_scale)
 
-    def _step(self, params, grads, data_count, batch_index) -> None:
+    def _step(self, grads, data_count, batch_index) -> None:
         self.ema.update(grads)
-        sgfs_step(params, grads, self.ema, data_count, self.cfg, self.train_rng,
+        sgfs_step(self.net.flat, grads, self.ema, data_count, self.cfg, self.train_rng,
                   self.burning_in(batch_index))
 
 
@@ -220,11 +223,11 @@ class ConstSGDAgent(_SGChainAgent):
         super().__init__(dim, num_actions, seed, name=name, **chain)
         self.cfg = ConstSGDConfig(noise_scale=noise_scale)
 
-    def _step(self, params, grads, data_count, batch_index) -> None:
+    def _step(self, grads, data_count, batch_index) -> None:
         # Burn-in for plain constant SGD means "optimize first"; the update
         # rule is the same either way unless noise injection is enabled.
         self.ema.update(grads)
-        const_sgd_step(params, grads, self.ema, self.schedule.batch_size, data_count,
+        const_sgd_step(self.net.flat, grads, self.ema, self.schedule.batch_size, data_count,
                        self.cfg, self.train_rng, self.burning_in(batch_index))
 
 
@@ -251,10 +254,11 @@ def gaussian_kl(mu: np.ndarray, sigma_q: np.ndarray, sigma_p: float) -> float:
 class VariationalNet:
     """Factorized Gaussian over every MLP parameter.
 
-    Each parameter w has a mean mu and a pre-stddev rho with
-    stddev = softplus(rho); sampling uses the reparameterization
-    w = mu + softplus(rho) * nu.  rho is initialized so the stddev starts at
-    5% of the prior scale.
+    ``flat`` is the whole state, so one optimizer steps it: the means, then
+    the pre-stddevs.  ``mu`` is an MLP over its first half and ``rho`` a view
+    of its second.  Each parameter w has stddev = softplus(rho); sampling uses
+    the reparameterization w = mu + softplus(rho) * nu.  rho is initialized
+    so the stddev starts at 5% of the prior scale.
     """
 
     def __init__(
@@ -267,50 +271,47 @@ class VariationalNet:
             raise ValueError("prior_sigma must be positive")
         self.prior_sigma = prior_sigma
         self.sizes = tuple(int(s) for s in sizes)
-        self.mu = mlp_init(self.sizes, rng)
+        mu = mlp_init(self.sizes, rng).flat
         rho0 = softplus_inverse(0.05 * prior_sigma)
-        self.rho = [np.full_like(p, rho0) for p in self.mu.parameters()]
+        self.flat = np.concatenate([mu, np.full_like(mu, rho0)])
+
+    @property
+    def mu(self) -> MLP:
+        return MLP(self.sizes, self.flat[: self.flat.size // 2])
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.flat[self.flat.size // 2:]
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a vector laid out as ``flat``: mu's, then rho's."""
+        half = vector.size // 2
+        return self.mu.split(vector[:half]) + self.mu.split(vector[half:])
 
     def astype(self, dtype) -> "VariationalNet":
         """A copy with mu and rho cast to ``dtype``."""
         cast = copy.copy(self)
-        cast.mu = self.mu.astype(dtype)
-        cast.rho = [r.astype(dtype) for r in self.rho]
+        cast.flat = self.flat.astype(dtype)
         return cast
 
-    def parameters(self) -> list[np.ndarray]:
-        """mu arrays followed by rho arrays, for a single optimizer."""
-        return self.mu.parameters() + self.rho
-
-    def stddevs(self) -> list[np.ndarray]:
-        return [softplus(r) for r in self.rho]
+    def stddevs(self) -> np.ndarray:
+        return softplus(self.rho)
 
     def kl_to_prior(self) -> float:
-        total = 0.0
-        for m, s in zip(self.mu.parameters(), self.stddevs()):
-            total += gaussian_kl(m, s, self.prior_sigma)
-        return total
-
-    def _assemble(self, flat: list[np.ndarray]) -> MLP:
-        weights, biases = [], []
-        it = iter(flat)
-        for _ in range(self.mu.num_layers):
-            weights.append(next(it))
-            biases.append(next(it))
-        return MLP(weights, biases)
+        return gaussian_kl(self.mu.flat, self.stddevs(), self.prior_sigma)
 
     def sample(
         self, rng: Optional[np.random.Generator] = None,
-        noise: Optional[list[np.ndarray]] = None,
-    ) -> tuple[MLP, list[np.ndarray]]:
+        noise: Optional[np.ndarray] = None,
+    ) -> tuple[MLP, np.ndarray]:
         """Draw a concrete network; returns it with the noise used."""
-        mus = self.mu.parameters()
+        mu = self.mu.flat
         if noise is None:
             if rng is None:
                 raise ValueError("either rng or noise must be given")
-            noise = [rng.standard_normal(p.shape, dtype=p.dtype) for p in mus]
-        flat = [m + s * n for m, s, n in zip(mus, self.stddevs(), noise)]
-        return self._assemble(flat), noise
+            noise = rng.standard_normal(mu.size, dtype=mu.dtype)
+        check_shape("noise", noise, mu.shape)
+        return MLP(self.sizes, mu + self.stddevs() * noise), noise
 
 
 def bbb_loss_and_grads(
@@ -321,15 +322,15 @@ def bbb_loss_and_grads(
     total_count: int,
     noise_sigma: float,
     rng: Optional[np.random.Generator] = None,
-    noise: Optional[list[np.ndarray]] = None,
-) -> tuple[float, float, list[np.ndarray]]:
+    noise: Optional[np.ndarray] = None,
+) -> tuple[float, float, np.ndarray]:
     """Single-sample variational loss and its gradients.
 
     loss = KL(q || prior) / total_count + mean masked Gaussian NLL, with the
     per-observation NLL (y - yhat)^2 / (2 sigma^2) (log-normalizer constant
     dropped).  The KL term is closed-form; only the likelihood term is
-    estimated with one reparameterized weight sample.  Gradients are returned
-    in ``vnet.parameters()`` order (mu arrays then rho arrays).
+    estimated with one reparameterized weight sample.  The gradient is one
+    vector laid out as ``vnet.flat`` (mu, then rho).
     """
     if total_count < 1:
         raise ValueError("total_count must be positive")
@@ -342,18 +343,15 @@ def bbb_loss_and_grads(
     nll = mse * scale
     dw = mlp_backward(sampled, cache, dmse * scale)
 
-    mus = vnet.mu.parameters()
-    sigmas = vnet.stddevs()
+    sigma = vnet.stddevs()
     kl = vnet.kl_to_prior()
     loss = kl / total_count + nll
     pvar = vnet.prior_sigma * vnet.prior_sigma
-    dmu, drho = [], []
-    for m, r, s, g, nu in zip(mus, vnet.rho, sigmas, dw, noise):
-        gate = 1.0 / (1.0 + np.exp(-r))  # d softplus / d rho
-        dmu.append(g + (m / pvar) / total_count)
-        dkl_dsigma = (-1.0 / s + s / pvar) / total_count
-        drho.append((g * nu + dkl_dsigma) * gate)
-    return loss, kl, dmu + drho
+    gate = 1.0 / (1.0 + np.exp(-vnet.rho))  # d softplus / d rho
+    dmu = dw + (vnet.mu.flat / pvar) / total_count
+    dkl_dsigma = (-1.0 / sigma + sigma / pvar) / total_count
+    drho = (dw * noise + dkl_dsigma) * gate
+    return loss, kl, np.concatenate([dmu, drho])
 
 
 class BayesByBackpropAgent(TrainableNet, Agent):

@@ -169,7 +169,7 @@ def _mlp_grad_error(rng) -> float:
     out, cache = mlp_forward(net, X, masks, p_keep)
     _, dout = masked_mse(out, actions, rewards)
     analytic = mlp_backward(net, cache, dout)
-    return _numeric_vs(net.parameters(), analytic, loss)
+    return _numeric_vs(net.parameters(), net.split(analytic), loss)
 
 
 def _bbb_grad_error(rng) -> float:
@@ -179,7 +179,7 @@ def _bbb_grad_error(rng) -> float:
     X = rng.standard_normal((n, sizes[0]))
     actions = rng.integers(0, sizes[-1], size=n)
     rewards = rng.standard_normal(n)
-    noise = [rng.standard_normal(p.shape) for p in vnet.mu.parameters()]
+    noise = rng.standard_normal(vnet.rho.size)
 
     def loss():
         value, _, _ = bbb_loss_and_grads(
@@ -190,7 +190,7 @@ def _bbb_grad_error(rng) -> float:
     _, _, analytic = bbb_loss_and_grads(
         vnet, X, actions, rewards, total_count=40, noise_sigma=0.5, noise=noise
     )
-    return _numeric_vs(vnet.parameters(), analytic, loss)
+    return _numeric_vs(vnet.split(vnet.flat), vnet.split(analytic), loss)
 
 
 def _numeric_vs(params, analytic, loss, h: float = 1e-6) -> float:
@@ -392,10 +392,10 @@ def test_criterion_11_sampler_guarantees():
     # halves theta each step, a geometric path to the optimum
     lam = 2.0
     theta = np.array([1.0])
-    ema = FisherEMA([theta])
-    ema.diag = [np.array([4.0 * lam])]
+    ema = FisherEMA(theta)
+    ema.diag = np.array([4.0 * lam])
     for _ in range(40):
-        const_sgd_step([theta], [lam * theta.copy()], ema, 8, 8, ConstSGDConfig())
+        const_sgd_step(theta, lam * theta.copy(), ema, 8, 8, ConstSGDConfig())
     const_ok = abs(theta[0]) < 1e-6
 
     kl_zero = gaussian_kl(np.zeros(7), np.full(7, 0.3), 0.3)
@@ -403,8 +403,7 @@ def test_criterion_11_sampler_guarantees():
     vnet = VariationalNet([2, 3], prior_sigma=0.8, rng=np.random.default_rng(0))
     for m in vnet.mu.parameters():
         m[:] = 0.0
-    for r in vnet.rho:
-        r[:] = softplus_inverse(0.8)
+    vnet.rho[:] = softplus_inverse(0.8)
     bbb_ok = (
         abs(kl_zero) < 1e-12
         and abs(kl_half - 0.5) < 1e-12

@@ -98,16 +98,16 @@ def test_parse_errors_carry_line_numbers():
     assert e.line == 4 and "duplicate [environment]" in str(e)
     e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\n[run]\n")
     assert e.line == 5 and "duplicate [run]" in str(e)
+    for key, line in (("trials", 6), ("horizon", 7), ("workers", 6)):
+        text = "[environment]\nname=wheel\ndelta=0.5\n[run]\nseed=1\n"
+        text += "trials=2\n" * (key == "horizon") + f"{key}=0\nout=x\n"
+        e = err(text)
+        assert e.line == line and str(e) == f"line {line}: {key} must be positive"
 
 
 def test_parse_errors_without_lines():
-    assert err('[agent "Uniform"]\n').line is None
-    e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\ntrials=0\n")
-    assert "trials must be positive" in str(e)
-    e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\nworkers=0\n")
-    assert "workers must be positive" in str(e)
-    e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\nhorizon=0\n")
-    assert "horizon must be positive" in str(e)
+    e = err('[agent "Uniform"]\n')
+    assert e.line is None and str(e) == "missing [environment] section"
 
 
 def test_parse_bool_and_column_forms(tmp_path):

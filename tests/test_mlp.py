@@ -1,5 +1,7 @@
 """Network forward/backward math, the optimizer, and training schedules."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,8 @@ from banditbench.mlp import (
 
 
 def tiny_net() -> MLP:
-    return MLP(
-        weights=[np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0], [2.0]])],
-        biases=[np.array([0.5, -0.5]), np.array([0.1])],
-    )
+    # W0 = [[1, 0], [0, 1]], b0 = [0.5, -0.5], W1 = [[1], [2]], b1 = [0.1]
+    return MLP((2, 2, 1), np.array([1.0, 0.0, 0.0, 1.0, 0.5, -0.5, 1.0, 2.0, 0.1]))
 
 
 def batch_loss(net, X, actions, rewards, masks=None, p_keep=1.0):
@@ -89,7 +89,7 @@ def test_gradients_match_finite_differences_plain():
         rewards = rng.standard_normal(6)
         out, cache = mlp_forward(net, X)
         _, dout = masked_mse(out, actions, rewards)
-        analytic = mlp_backward(net, cache, dout)
+        analytic = net.split(mlp_backward(net, cache, dout))
         numeric = numeric_grads(net, X, actions, rewards)
         assert grad_rel_error(analytic, numeric) < 1e-6
 
@@ -103,7 +103,7 @@ def test_gradients_match_finite_differences_layer_norm():
         rewards = rng.standard_normal(5)
         out, cache = mlp_forward(net, X)
         _, dout = masked_mse(out, actions, rewards)
-        analytic = mlp_backward(net, cache, dout)
+        analytic = net.split(mlp_backward(net, cache, dout))
         numeric = numeric_grads(net, X, actions, rewards)
         assert grad_rel_error(analytic, numeric) < 1e-6
 
@@ -117,7 +117,7 @@ def test_gradients_match_finite_differences_pinned_dropout():
     masks = make_dropout_masks(net, 4, 0.7, rng)
     out, cache = mlp_forward(net, X, dropout_masks=masks, p_keep=0.7)
     _, dout = masked_mse(out, actions, rewards)
-    analytic = mlp_backward(net, cache, dout)
+    analytic = net.split(mlp_backward(net, cache, dout))
     numeric = numeric_grads(net, X, actions, rewards, masks, 0.7)
     assert grad_rel_error(analytic, numeric) < 1e-6
 
@@ -133,9 +133,9 @@ def test_training_math_computes_in_the_parameters_dtype(dtype):
     out, cache = mlp_forward(net, X, masks, 0.8)
     _, dout = masked_mse(out, rng.integers(0, 2, size=6), rng.standard_normal(6))
     grads = mlp_backward(net, cache, dout)
-    opt = RMSProp(net.parameters())
-    opt.step(net.parameters(), grads, 0.01)
-    arrays = [out, dout, *masks, *grads, *opt.acc, *net.parameters(),
+    opt = RMSProp(net.flat)
+    opt.step(net.flat, grads, 0.01)
+    arrays = [out, dout, *masks, grads, opt.acc, *net.parameters(),
               *perturb(net, 0.1, rng).parameters(), hidden_features(net, X)]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
@@ -158,13 +158,48 @@ def test_init_shapes_and_glorot_bounds():
 
 
 def test_parameters_order_and_copy_isolation():
-    net = mlp_init((2, 3, 3, 1), np.random.default_rng(3), layer_norm=True)
+    rng = np.random.default_rng(3)
+    net = mlp_init((2, 3, 3, 1), rng, layer_norm=True)
     params = net.parameters()
     # per hidden layer: W, b, gain, shift; output layer: W, b
     assert len(params) == 4 + 4 + 2
+    expect = [net.weights[0], net.biases[0], net.gains[0], net.shifts[0],
+              net.weights[1], net.biases[1], net.gains[1], net.shifts[1],
+              net.weights[2], net.biases[2]]
+    assert [p.shape for p in params] == [e.shape for e in expect]
+    for p, e in zip(params, expect):
+        np.testing.assert_array_equal(p, e)
+    assert all(np.shares_memory(p, net.flat) for p in params)
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+    assert net.flat.shape == (sum(p.size for p in params),)
+    # the parameters are views: a write to either side shows in the other
+    net.flat[0] = 7.0
+    assert net.weights[0][0, 0] == 7.0
+    net.gains[0][1] = -3.0
+    assert net.flat[2 * 3 + 3 + 1] == -3.0
     dup = net.copy()
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
+    X = rng.standard_normal((4, 2))
+    out, cache = mlp_forward(net, X)
+    _, dout = masked_mse(out, [0, 0, 0, 0], np.ones(4))
+    grad = mlp_backward(net, cache, dout)
+    assert grad.shape == net.flat.shape
+    assert [g.shape for g in net.split(grad)] == [p.shape for p in params]
+    for other in (net.copy(), net.astype(np.float32), perturb(net, 0.1, rng), copy.deepcopy(net)):
+        assert not np.shares_memory(other.flat, net.flat)
+        views = other.weights + other.biases + other.gains + other.shifts
+        assert all(np.shares_memory(v, other.flat) for v in views)
+    with pytest.raises(ValueError):
+        MLP((2, 3, 3, 1), net.flat[:-1], layer_norm=True)
+
+
+def reference_perturb(net: MLP, sigma: float, rng: np.random.Generator) -> list[np.ndarray]:
+    """Per-array parameter noise: one draw per parameter, in parameter order."""
+    noisy = [p.copy() for p in net.parameters()]
+    for p in noisy:
+        p += sigma * rng.standard_normal(p.shape, dtype=p.dtype)
+    return noisy
 
 
 def test_perturb_touches_every_parameter():
@@ -176,6 +211,14 @@ def test_perturb_touches_every_parameter():
     same = perturb(net, 0.0, rng)
     for orig, new in zip(net.parameters(), same.parameters()):
         np.testing.assert_array_equal(orig, new)
+    # one draw over the whole vector equals the per-array draws, in both dtypes
+    for dtype in (np.float64, np.float32):
+        deep = mlp_init((3, 5, 4, 2), rng, layer_norm=True).astype(dtype)
+        got = perturb(deep, 0.3, np.random.default_rng(8))
+        want = reference_perturb(deep, 0.3, np.random.default_rng(8))
+        for g, w in zip(got.parameters(), want, strict=True):
+            assert g.dtype == w.dtype == dtype
+            np.testing.assert_array_equal(g, w)
 
 
 def test_hidden_features_match_forward_activations():
@@ -207,16 +250,20 @@ def test_dropout_mask_statistics_and_validation():
 
 
 def test_rmsprop_first_step_from_zero_accumulator():
-    params = [np.array([1.0, -1.0])]
-    grads = [np.array([2.0, -0.5])]
+    params = np.array([1.0, -1.0])
+    grads = np.array([2.0, -0.5])
     opt = RMSProp(params, rho=0.9, eps=1e-8)
     opt.step(params, grads, lr=0.1)
     acc = 0.1 * np.array([4.0, 0.25])
     expect = np.array([1.0, -1.0]) - 0.1 * np.array([2.0, -0.5]) / np.sqrt(acc + 1e-8)
-    np.testing.assert_allclose(params[0], expect, rtol=1e-12)
-    np.testing.assert_allclose(opt.acc[0], acc, rtol=1e-12)
-    with pytest.raises(ValueError):
-        opt.step(params, [], lr=0.1)
+    np.testing.assert_allclose(params, expect, rtol=1e-12)
+    np.testing.assert_allclose(opt.acc, acc, rtol=1e-12)
+    # a length-1 vector would broadcast over every parameter
+    for bad_params, bad_grads in ((params, np.array([])), (params, np.array([1.0])),
+                                  (np.zeros(1), grads), (np.zeros(3), np.zeros(3))):
+        with pytest.raises(ValueError):
+            opt.step(bad_params, bad_grads, lr=0.1)
+    np.testing.assert_allclose(params, expect, rtol=1e-12)
     with pytest.raises(ValueError):
         RMSProp(params, rho=1.0)
 

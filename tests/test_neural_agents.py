@@ -259,7 +259,7 @@ def test_every_trainable_preset_trains_in_float32(name, monkeypatch):
     for net in nets:
         def recorded(*args, inner=net._loss_and_grads):
             loss, g = inner(*args)
-            grads.extend(g)
+            grads.append(g)
             return loss, g
         monkeypatch.setattr(net, "_loss_and_grads", recorded)
     feed(agent, 12, 3, 2, seed=1)
@@ -269,8 +269,10 @@ def test_every_trainable_preset_trains_in_float32(name, monkeypatch):
         assert net.period == 1
         # optimizer state: the chains' Fisher EMA, else RMSProp (BBB's rho is a parameter)
         state = net.ema.diag if hasattr(net, "ema") else net.opt.acc
-        arrays += net.net.parameters() + state
-    assert len(grads) == 2 * len(nets) * len(nets[0].net.parameters())
+        arrays += [net.net.flat, state]
+    # one gradient vector per batch, laid out as the net's parameters
+    assert len(grads) == 2 * len(nets)
+    assert {g.shape for g in grads} == {nets[0].net.flat.shape}
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     if name == "NeuralLinear":
         assert agent.heads.precision.dtype == agent.heads.mean.dtype == np.float64

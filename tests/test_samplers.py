@@ -1,6 +1,7 @@
 """Stochastic-gradient posterior chains and the variational agent."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from banditbench import (
     const_sgd_step,
     sgfs_step,
 )
-from banditbench.mlp import RMSProp, masked_mse, mlp_backward, mlp_forward
+from banditbench.mlp import make_dropout_masks, masked_mse, mlp_backward, mlp_forward
+from banditbench.neural import DropoutAgent
+from banditbench.presets import rms2_schedule
 from banditbench.samplers import (
+    DIAG_FLOOR,
     ConstSGDConfig,
     SGFSConfig,
     gaussian_kl,
@@ -27,28 +31,31 @@ from banditbench.samplers import (
 
 
 def frozen_ema(value: float) -> FisherEMA:
-    ema = FisherEMA([np.zeros(1)])
-    ema.diag = [np.array([value])]
+    ema = FisherEMA(np.zeros(1))
+    ema.diag = np.array([value])
     return ema
 
 
 def test_fisher_ema_update_formula():
-    ema = FisherEMA([np.zeros(2)], decay=0.9)
-    ema.update([np.array([2.0, 1.0])])
-    np.testing.assert_allclose(ema.diag[0], [0.4, 0.1])
-    ema.update([np.array([1.0, 0.0])])
-    np.testing.assert_allclose(ema.diag[0], [0.9 * 0.4 + 0.1, 0.9 * 0.1])
+    ema = FisherEMA(np.zeros(2), decay=0.9)
+    ema.update(np.array([2.0, 1.0]))
+    np.testing.assert_allclose(ema.diag, [0.4, 0.1])
+    ema.update(np.array([1.0, 0.0]))
+    np.testing.assert_allclose(ema.diag, [0.9 * 0.4 + 0.1, 0.9 * 0.1])
     with pytest.raises(ValueError):
-        FisherEMA([np.zeros(2)], decay=1.0)
-    with pytest.raises(ValueError):
-        ema.update([])
+        FisherEMA(np.zeros(2), decay=1.0)
+    # a length-1 gradient would broadcast over every parameter
+    for bad in (np.array([]), np.array([1.0]), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            ema.update(bad)
+    np.testing.assert_allclose(ema.diag, [0.9 * 0.4 + 0.1, 0.9 * 0.1])
 
 
 def test_sgfs_step_noise_free_formula():
     theta = np.array([1.0])
     cfg = SGFSConfig(step_size=0.2, noise_scale=0.0)
     ema = frozen_ema(1.0)
-    sgfs_step([theta], [np.array([4.0])], ema, data_count=1, cfg=cfg)
+    sgfs_step(theta, np.array([4.0]), ema, data_count=1, cfg=cfg)
     h = 2.0 / 1.2
     np.testing.assert_allclose(theta, [1.0 - 0.2 * h * 4.0])
 
@@ -57,9 +64,9 @@ def test_sgfs_step_noise_term_matches_manual_draw():
     cfg = SGFSConfig(step_size=0.04, noise_scale=0.75)
     theta = np.array([0.5, -0.5])
     grad = np.array([1.0, 2.0])
-    ema = FisherEMA([np.zeros(2)])
-    ema.diag = [np.array([0.25, 4.0])]
-    sgfs_step([theta], [grad], ema, data_count=10, cfg=cfg, rng=np.random.default_rng(42))
+    ema = FisherEMA(np.zeros(2))
+    ema.diag = np.array([0.25, 4.0])
+    sgfs_step(theta, grad, ema, data_count=10, cfg=cfg, rng=np.random.default_rng(42))
     nu = np.random.default_rng(42).standard_normal(2)
     h = (2.0 / 10) / (1.04 * np.array([0.25, 4.0]))
     expect = (
@@ -74,7 +81,7 @@ def test_sgfs_skip_noise_consumes_no_randomness():
     cfg = SGFSConfig(step_size=0.1, noise_scale=0.75)
     rng = np.random.default_rng(5)
     theta = np.array([1.0])
-    sgfs_step([theta], [np.array([1.0])], frozen_ema(1.0), 1, cfg, rng, skip_noise=True)
+    sgfs_step(theta, np.array([1.0]), frozen_ema(1.0), 1, cfg, rng, skip_noise=True)
     assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
 
 
@@ -85,9 +92,17 @@ def test_sgfs_step_validation():
         SGFSConfig(noise_scale=-0.1)
     theta = np.array([1.0])
     with pytest.raises(ValueError):
-        sgfs_step([theta], [theta], frozen_ema(1.0), 0, SGFSConfig())
+        sgfs_step(theta, theta, frozen_ema(1.0), 0, SGFSConfig())
     with pytest.raises(ValueError):
-        sgfs_step([theta], [theta], frozen_ema(1.0), 1, SGFSConfig(noise_scale=0.5))
+        sgfs_step(theta, theta, frozen_ema(1.0), 1, SGFSConfig(noise_scale=0.5))
+    # a length-1 gradient or EMA would broadcast over every parameter
+    pair = np.array([1.0, 2.0])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        sgfs_step(pair, theta, FisherEMA(pair), 1, SGFSConfig(), rng)
+    with pytest.raises(ValueError):
+        sgfs_step(pair, pair, frozen_ema(1.0), 1, SGFSConfig(), rng)
+    np.testing.assert_array_equal(pair, [1.0, 2.0])
 
 
 def sgfs_chain_variance(eps: float, steps: int = 20000) -> float:
@@ -98,7 +113,7 @@ def sgfs_chain_variance(eps: float, steps: int = 20000) -> float:
     theta = np.array([0.0])
     out = np.empty(steps)
     for i in range(steps):
-        sgfs_step([theta], [4.0 * theta], ema, 1, cfg, rng)
+        sgfs_step(theta, 4.0 * theta, ema, 1, cfg, rng)
         out[i] = theta[0]
     return float(np.var(out[steps // 5:]))
 
@@ -116,13 +131,20 @@ def test_sgfs_stationary_variance_tracks_step_size():
 def test_const_sgd_step_formula():
     theta = np.array([2.0])
     ema = frozen_ema(0.5)
-    const_sgd_step([theta], [np.array([3.0])], ema, batch_size=2, data_count=8)
+    const_sgd_step(theta, np.array([3.0]), ema, batch_size=2, data_count=8)
     # eps = 2 * (2/8) / 0.5 = 1.0
     np.testing.assert_allclose(theta, [-1.0])
     with pytest.raises(ValueError):
-        const_sgd_step([theta], [theta], ema, 0, 8)
+        const_sgd_step(theta, theta, ema, 0, 8)
     with pytest.raises(ValueError):
-        const_sgd_step([theta], [theta], ema, 2, 8, ConstSGDConfig(noise_scale=0.5))
+        const_sgd_step(theta, theta, ema, 2, 8, ConstSGDConfig(noise_scale=0.5))
+    # a length-1 gradient or EMA would broadcast over every parameter
+    pair = np.array([1.0, 2.0])
+    with pytest.raises(ValueError):
+        const_sgd_step(pair, theta, FisherEMA(pair), 2, 8)
+    with pytest.raises(ValueError):
+        const_sgd_step(pair, pair, ema, 2, 8)
+    np.testing.assert_array_equal(pair, [1.0, 2.0])
     with pytest.raises(ValueError):
         ConstSGDConfig(noise_scale=-1.0)
 
@@ -133,10 +155,10 @@ def test_const_sgd_contracts_convex_quadratic():
     lam = 2.0
     theta = np.array([1.0])
     ema = frozen_ema(4.0 * lam)
-    const_sgd_step([theta], [lam * theta.copy()], ema, batch_size=8, data_count=8)
+    const_sgd_step(theta, lam * theta.copy(), ema, batch_size=8, data_count=8)
     assert theta[0] == 0.5
     for _ in range(40):
-        const_sgd_step([theta], [lam * theta.copy()], ema, batch_size=8, data_count=8)
+        const_sgd_step(theta, lam * theta.copy(), ema, batch_size=8, data_count=8)
     assert abs(theta[0]) < 1e-6
 
 
@@ -248,19 +270,31 @@ def test_variational_net_kl_and_sampling():
     vnet = VariationalNet([2, 3], prior_sigma=1.0, rng=np.random.default_rng(0))
     for s in vnet.stddevs():
         np.testing.assert_allclose(s, 0.05)
+    half = vnet.flat.size // 2
+    assert vnet.mu.flat.shape == vnet.rho.shape == (half,)
+    assert np.shares_memory(vnet.mu.flat, vnet.flat[:half])
+    assert np.shares_memory(vnet.rho, vnet.flat[half:])
     for m in vnet.mu.parameters():
         m[:] = 0.0
     r0 = softplus_inverse(1.0)
-    for r in vnet.rho:
-        r[:] = r0
+    vnet.rho[:] = r0
+    np.testing.assert_array_equal(vnet.flat[half:], r0)
     assert vnet.kl_to_prior() == pytest.approx(0.0, abs=1e-12)
-    noise = [np.full_like(p, 2.0) for p in vnet.mu.parameters()]
+    noise = np.full_like(vnet.rho, 2.0)
     sampled, used = vnet.sample(noise=noise)
     assert used is noise
+    assert not np.shares_memory(sampled.flat, vnet.flat)
     for p, m in zip(sampled.parameters(), vnet.mu.parameters()):
         np.testing.assert_allclose(p, m + 1.0 * 2.0)
     with pytest.raises(ValueError):
         vnet.sample()
+    # a length-1 noise vector would broadcast over every parameter
+    for bad in (np.ones(1), np.ones(half + 1), np.ones((half, 1))):
+        with pytest.raises(ValueError):
+            vnet.sample(noise=bad)
+    for dup in (vnet.astype(np.float32), copy.deepcopy(vnet)):
+        assert not np.shares_memory(dup.flat, vnet.flat)
+        assert np.shares_memory(dup.mu.flat, dup.flat) and np.shares_memory(dup.rho, dup.flat)
     with pytest.raises(ValueError):
         VariationalNet([2, 3], prior_sigma=0.0, rng=np.random.default_rng(0))
 
@@ -271,7 +305,7 @@ def test_bbb_gradients_match_finite_differences():
     X = rng.standard_normal((6, 2))
     actions = rng.integers(0, 3, size=6)
     rewards = rng.standard_normal(6)
-    noise = [rng.standard_normal(p.shape) for p in vnet.mu.parameters()]
+    noise = rng.standard_normal(vnet.rho.size)
 
     def loss_at():
         loss, _, _ = bbb_loss_and_grads(
@@ -284,7 +318,8 @@ def test_bbb_gradients_match_finite_differences():
     )
     h = 1e-6
     worst = 0.0
-    for p, g in zip(vnet.parameters(), analytic):
+    assert analytic.shape == vnet.flat.shape
+    for p, g in zip(vnet.split(vnet.flat), vnet.split(analytic)):
         fp, fg = p.ravel(), np.zeros(p.size)
         for i in range(fp.size):
             keep = fp[i]
@@ -303,7 +338,7 @@ def test_bbb_loss_terms_and_validation():
     rng = np.random.default_rng(4)
     vnet = VariationalNet([2, 2], prior_sigma=1.0, rng=rng)
     X = np.array([[1.0, 0.0]])
-    noise = [np.zeros_like(p) for p in vnet.mu.parameters()]
+    noise = np.zeros_like(vnet.rho)
     loss, kl, _ = bbb_loss_and_grads(
         vnet, X, [0], [2.0], total_count=10, noise_sigma=1.0, noise=noise
     )
@@ -314,6 +349,9 @@ def test_bbb_loss_terms_and_validation():
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=0, noise_sigma=1.0, noise=noise)
     with pytest.raises(ValueError):
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=0.0, noise=noise)
+    with pytest.raises(ValueError):
+        bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=1.0,
+                           noise=np.zeros(1))
 
 
 def test_bbb_ramp_schedule():
@@ -338,53 +376,128 @@ def test_bbb_agent_trains_and_chooses():
     rng = np.random.default_rng(0)
     for obs in make_observations(12, 2, 2, seed=5):
         agent.observe(obs)
-    before = [p.copy() for p in agent.net.parameters()]
+    before = [p.copy() for p in agent.net.split(agent.net.flat)]
     agent.maybe_train(0)
     assert agent.period == 1
     assert any(
-        not np.array_equal(b, p) for b, p in zip(before, agent.net.parameters())
+        not np.array_equal(b, p) for b, p in zip(before, agent.net.split(agent.net.flat))
     )
     a = agent.choose(np.array([0.5, -0.5]), rng)
     assert a in (0, 1)
 
 
+# The references below train a copy of the agent's initial net through the
+# per-array ``parameters()`` views, with the update rules written out one array
+# at a time and the noise drawn one array at a time, as the optimizers and
+# chains did before a net's parameters became one vector.
+
+
+class ReferenceRMSProp:
+    def __init__(self, params, rho=0.9, eps=1e-8):
+        self.rho, self.eps = rho, eps
+        self.acc = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, lr):
+        for p, g, a in zip(params, grads, self.acc, strict=True):
+            a *= self.rho
+            a += (1.0 - self.rho) * g * g
+            p -= lr * g / np.sqrt(a + self.eps)
+
+
+def reference_sgfs_step(cfg):
+    def step(params, grads, diags, n, rng, skip):
+        eps = cfg.step_size
+        for p, g, d in zip(params, grads, diags, strict=True):
+            diag = np.maximum(d, DIAG_FLOOR)
+            h = (2.0 / n) / ((1.0 + eps) * diag)
+            p -= eps * h * g
+            if not skip:
+                nu = rng.standard_normal(p.shape, dtype=p.dtype)
+                p += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
+    return step
+
+
+def reference_const_sgd_step(cfg, batch_size):
+    def step(params, grads, diags, n, rng, skip):
+        ratio = 2.0 * batch_size / n
+        for p, g, d in zip(params, grads, diags, strict=True):
+            eps = ratio / np.maximum(d, DIAG_FLOOR)
+            p -= eps * g
+            if not skip:
+                p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape, dtype=p.dtype)
+    return step
+
+
 class ReferenceChain:
     """The SGFS/ConstSGD training loop written out on its own: a lifetime
     batch counter for burn-in, and one uniform batch, Fisher EMA update and
-    chain step per iteration.  It trains a copy of the agent's initial net."""
+    chain step per iteration."""
 
     def __init__(self, net, seed, ema_decay, batch_size, batches, burn_in, step):
         _, train_ss = np.random.SeedSequence(seed).spawn(2)
         self.net = net.copy()
-        self.ema = FisherEMA(self.net.parameters(), ema_decay)
+        self.params = self.net.parameters()
+        self.decay = ema_decay
+        self.diag = [np.zeros_like(p) for p in self.params]
         self.rng = np.random.default_rng(train_ss)
         self.batch_size, self.batches, self.burn_in, self.step = batch_size, batches, burn_in, step
         self.done = 0
 
     def train(self, X, A, R):
         n = len(R)
-        params = self.net.parameters()
         for _ in range(self.batches):
             idx = self.rng.integers(0, n, size=self.batch_size)
             out, cache = mlp_forward(self.net, X[idx])
             _, dout = masked_mse(out, A[idx], R[idx])
-            grads = mlp_backward(self.net, cache, dout)
-            self.ema.update(grads)
-            self.step(params, grads, self.ema, n, self.rng, self.done < self.burn_in)
+            grads = self.net.split(mlp_backward(self.net, cache, dout))
+            for d, g in zip(self.diag, grads, strict=True):
+                d *= self.decay
+                d += (1.0 - self.decay) * g * g
+            self.step(self.params, grads, self.diag, n, self.rng, self.done < self.burn_in)
             self.done += 1
-        return params
+        return self.params
+
+
+class ReferenceDropout:
+    """The reward-net training loop with dropout written out on its own: one
+    uniform batch, fresh dropout masks and one RMSProp step per iteration, at
+    the schedule's learning rate."""
+
+    def __init__(self, net, seed, schedule, p_keep):
+        (net_ss,) = np.random.SeedSequence(seed).spawn(1)
+        _, train_ss = net_ss.spawn(2)
+        self.net = net.copy()
+        self.params = self.net.parameters()
+        self.opt = ReferenceRMSProp(self.params)
+        self.rng = np.random.default_rng(train_ss)
+        self.schedule, self.p_keep = schedule, p_keep
+        self.period = 0
+
+    def train(self, X, A, R):
+        n = len(R)
+        for j in range(self.schedule.batches_per_period):
+            idx = self.rng.integers(0, n, size=self.schedule.batch_size)
+            masks = make_dropout_masks(self.net, len(idx), self.p_keep, self.rng)
+            out, cache = mlp_forward(self.net, X[idx], masks, self.p_keep)
+            _, dout = masked_mse(out, A[idx], R[idx])
+            grads = self.net.split(mlp_backward(self.net, cache, dout))
+            self.opt.step(self.params, grads, self.schedule.learning_rate(self.period, j))
+        self.period += 1
+        return self.params
 
 
 class ReferenceBBB:
     """The Bayes-by-backprop training loop written out on its own, with the
-    linear ramp of batches per period and a fixed RMSProp rate.  It trains a
-    copy of the agent's initial variational net."""
+    linear ramp of batches per period, a fixed RMSProp rate, and the
+    variational gradient formulas applied per array."""
 
     def __init__(self, vnet, seed, noise_sigma, lr, batch_size, batches, ramp_initial,
                  ramp_periods):
         _, train_ss = np.random.SeedSequence(seed).spawn(2)
-        self.vnet = copy.deepcopy(vnet)
-        self.opt = RMSProp(self.vnet.parameters())
+        self.vnet = vnet.astype(vnet.flat.dtype)
+        self.mus = self.vnet.mu.parameters()
+        self.rhos = self.vnet.mu.split(self.vnet.rho)
+        self.opt = ReferenceRMSProp(self.mus + self.rhos)
         self.rng = np.random.default_rng(train_ss)
         self.noise_sigma, self.lr, self.batch_size = noise_sigma, lr, batch_size
         self.batches, self.ramp_initial, self.ramp_periods = batches, ramp_initial, ramp_periods
@@ -397,49 +510,62 @@ class ReferenceBBB:
                        - self.period * (self.ramp_initial - self.batches) / self.ramp_periods)
         return max(self.batches, int(ramped))
 
+    def grads(self, X, A, R, n):
+        noise = [self.rng.standard_normal(m.shape, dtype=m.dtype) for m in self.mus]
+        sigmas = [softplus(r) for r in self.rhos]
+        sampled = self.vnet.mu.copy()
+        for p, m, s, nu in zip(sampled.parameters(), self.mus, sigmas, noise, strict=True):
+            p[...] = m + s * nu
+        out, cache = mlp_forward(sampled, X)
+        _, dmse = masked_mse(out, A, R)
+        scale = 1.0 / (2.0 * self.noise_sigma * self.noise_sigma)
+        dw = sampled.split(mlp_backward(sampled, cache, dmse * scale))
+        pvar = self.vnet.prior_sigma * self.vnet.prior_sigma
+        dmu, drho = [], []
+        for m, r, s, g, nu in zip(self.mus, self.rhos, sigmas, dw, noise, strict=True):
+            gate = 1.0 / (1.0 + np.exp(-r))
+            dmu.append(g + (m / pvar) / n)
+            dkl_dsigma = (-1.0 / s + s / pvar) / n
+            drho.append((g * nu + dkl_dsigma) * gate)
+        return dmu + drho
+
     def train(self, X, A, R):
         n = len(R)
-        params = self.vnet.parameters()
+        params = self.mus + self.rhos
         for _ in range(self.period_batches()):
             idx = self.rng.integers(0, n, size=self.batch_size)
-            _, _, grads = bbb_loss_and_grads(
-                self.vnet, X[idx], A[idx], R[idx], total_count=n,
-                noise_sigma=self.noise_sigma, rng=self.rng,
-            )
-            self.opt.step(params, grads, self.lr)
+            self.opt.step(params, self.grads(X[idx], A[idx], R[idx], n), self.lr)
         self.period += 1
         return params
 
 
-def _sgfs_reference(cfg):
-    return lambda params, grads, ema, n, rng, skip: sgfs_step(params, grads, ema, n, cfg, rng, skip)
-
-
-def _const_sgd_reference(cfg, batch_size):
-    return lambda params, grads, ema, n, rng, skip: const_sgd_step(
-        params, grads, ema, batch_size, n, cfg, rng, skip)
-
-
-@pytest.mark.parametrize("kind", ["SGFS", "ConstSGD", "BBB"])
+@pytest.mark.parametrize("kind", ["SGFS", "ConstSGD", "BBB", "Dropout"])
 def test_training_matches_the_reference_loops_bitwise(kind):
     # SGFS leaves burn-in inside its second period (4 is not a multiple of 3);
     # ConstSGD injects noise after burn-in; BBB's ramp runs 6, 5, 3 batches and
-    # then settles at 2.  The references start from the agent's float32 nets.
+    # then settles at 2; Dropout draws masks for two hidden layers and decays
+    # its rate inside each period.  The references start from the agent's
+    # float32 nets.
     dim, k, seed, hidden, bs = 3, 2, 11, (8,), 16
     if kind == "SGFS":
         agent = SGFSAgent(dim, k, seed, noise_scale=0.75, burn_in=4, batches_per_period=3,
                           batch_size=bs, hidden=hidden, train_every=10)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 4,
-                             _sgfs_reference(SGFSConfig(noise_scale=0.75)))
+                             reference_sgfs_step(SGFSConfig(noise_scale=0.75)))
     elif kind == "ConstSGD":
         agent = ConstSGDAgent(dim, k, seed, noise_scale=0.3, burn_in=2, batches_per_period=3,
                               batch_size=bs, hidden=hidden, train_every=10)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 2,
-                             _const_sgd_reference(ConstSGDConfig(noise_scale=0.3), bs))
-    else:
+                             reference_const_sgd_step(ConstSGDConfig(noise_scale=0.3), bs))
+    elif kind == "BBB":
         agent = BayesByBackpropAgent(dim, k, seed, lr=0.02, batches_per_period=2, batch_size=bs,
                                      ramp_initial=6, ramp_periods=3, hidden=hidden, train_every=10)
         ref = ReferenceBBB(agent.net, seed, 0.1, 0.02, bs, 2, 6, 3)
+    else:
+        schedule = rms2_schedule(train_every=10, batches_per_period=3, batch_size=bs)
+        agent = DropoutAgent(dim, k, schedule, seed, p_keep=0.7, hidden=(8, 6))
+        ref = ReferenceDropout(agent.core.net, seed, schedule, 0.7)
+    trainer = getattr(agent, "core", agent)
     obs = make_observations(60, dim, k, seed=12)
     for period in range(6):
         for o in obs[10 * period: 10 * (period + 1)]:
@@ -447,7 +573,8 @@ def test_training_matches_the_reference_loops_bitwise(kind):
         agent.maybe_train(10 * period)
         buf = agent.buffer
         want = ref.train(buf.contexts, buf.actions, buf.rewards)
-        for got, exp in zip(agent.net.parameters(), want, strict=True):
-            assert got.dtype == exp.dtype
-            np.testing.assert_array_equal(got, exp)
-    assert agent.period == 6
+        got = trainer.net.split(trainer.net.flat)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype == np.float32
+            np.testing.assert_array_equal(g, w)
+    assert trainer.period == 6
