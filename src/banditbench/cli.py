@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from typing import Optional, Sequence
 
 from .bench import emit_results, format_summary_table, run_benchmark, setup_run
 from .config import ConfigError, load_config
-from .presets import list_presets
+from .presets import PRESETS
 
 
 def _cmd_run(path: str) -> int:
@@ -35,8 +36,13 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_presets() -> int:
-    for name, summary in list_presets():
-        print(f"{name:<22}{summary}")
+    for preset in PRESETS.values():
+        keys = [f"{key}={value!r}" for key, value in preset.defaults.items()]
+        print(f"{preset.name:<22}{preset.summary}")
+        print(textwrap.fill(", ".join(keys) or "(no keys)", 100,
+                            initial_indent=" " * 22, subsequent_indent=" " * 22))
+    print("\nEach key above can be set in the preset's [agent] block; "
+          "ridge may also be spelled lambda.")
     return 0
 
 

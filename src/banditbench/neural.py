@@ -68,6 +68,8 @@ class TrainableNet:
         layer_norm: bool = False,
         dropout_keep: Optional[float] = None,
     ):
+        if dropout_keep is not None and not 0.0 < dropout_keep <= 1.0:
+            raise ValueError(f"p_keep must lie in (0, 1], got {dropout_keep!r}")
         init_ss, train_ss = _seed_sequence(seed).spawn(2)
         rng = np.random.default_rng(init_ss)
         self.net = self._init_net([dim, *hidden, num_actions], rng, layer_norm).astype(TRAIN_DTYPE)
@@ -76,9 +78,7 @@ class TrainableNet:
         self.period = 0
         # p_keep = 1 short-circuits to the plain forward pass so the agent is
         # draw-for-draw identical to one with dropout disabled.
-        self.dropout_keep = (
-            None if dropout_keep is None or dropout_keep >= 1.0 else dropout_keep
-        )
+        self.dropout_keep = None if dropout_keep == 1.0 else dropout_keep
 
     def _init_net(self, sizes, rng, layer_norm):
         return mlp_init(sizes, rng, layer_norm)

@@ -381,6 +381,8 @@ class BayesByBackpropAgent(TrainableNet, Agent):
         hidden: Sequence[int] = (100, 100),
         name: str = "BBB",
     ):
+        if not noise_sigma > 0:
+            raise ValueError("noise_sigma must be positive")
         schedule = TrainingSchedule(train_every, batches_per_period, batch_size, lr_init=lr)
         self.prior_sigma = prior_sigma
         super().__init__(dim, num_actions, schedule, seed, hidden)

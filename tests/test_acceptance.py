@@ -8,7 +8,6 @@ here and nowhere else.
 import time
 
 import numpy as np
-import pytest
 
 from banditbench import (
     ConstantFeatureEnv,

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import re
 import time
 
 import numpy as np
@@ -344,25 +345,39 @@ def test_a_failure_cancels_the_queued_cells(first, tmp_path, monkeypatch):
     assert len(started) <= 12, started  # of 24 queued cells
 
 
+_BAD_AGENT_VALUES = [
+    ("SGFS", "burn_in=-1", "burn_in must be >= 0"),
+    ("SGFS", "step_size=nan", "step_size must be finite, got nan"),
+    ("LinPost", "ridge=nan", "ridge must be finite, got nan"),
+    ("Dropout", "p_keep=1.5", "p_keep must lie in (0, 1], got 1.5"),
+    ("Dropout", "p_keep=0", "p_keep must lie in (0, 1], got 0.0"),
+    ("Dropout", "p_keep=-0.2", "p_keep must lie in (0, 1], got -0.2"),
+    ("BBB", "noise_sigma=0", "noise_sigma must be positive"),
+    ("BBB", "noise_sigma=-1", "noise_sigma must be positive"),
+]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_bad_agent_value_fails_before_any_cell(workers, tmp_path, monkeypatch, capsys):
     log = tmp_path / "cells.log"
     monkeypatch.setattr(bench, "run_trial", functools.partial(_logged_trial, log, bench.run_trial))
     monkeypatch.chdir(tmp_path)
-    text = (
-        "[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
-        '[agent "LinGreedy"]\n[agent "SGFS"]\nburn_in=-1\n'
-        f"[run]\ntrials=2\nseed=1\nworkers={workers}\n"
-    )
-    with pytest.raises(ConfigError, match=r"^line 6: agent 'SGFS': burn_in must be >= 0$"):
-        run_benchmark(parse_config(text))
-    assert not log.exists()
     path = tmp_path / "bad.cfg"
-    path.write_text(text, encoding="utf-8")
-    assert main(["validate", str(path)]) == 2
-    assert main(["run", str(path)]) == 2
-    assert capsys.readouterr().err.count("line 6: agent 'SGFS'") == 2
-    assert not log.exists()
+    for preset, setting, reason in _BAD_AGENT_VALUES:
+        text = (
+            "[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
+            f'[agent "LinGreedy"]\n[agent "{preset}"]\n{setting}\n'
+            f"[run]\ntrials=2\nseed=1\nworkers={workers}\n"
+        )
+        message = f"line 6: agent '{preset}': {reason}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_benchmark(parse_config(text))
+        assert not log.exists()
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+        assert not log.exists()
 
 
 _DATASET = "name=dataset\npath={data}\nheader=false\ncategorical_columns=\nnumeric_columns=0\n"
@@ -473,10 +488,17 @@ def test_cli_presets_and_validate(tmp_path, capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     assert "LinFullPost" in out and "NeuralLinear" in out
+    assert "ridge=0.25, sigma_sq=0.25" in out and "ridge may also be spelled lambda" in out
+    rms1 = out[out.index("RMS1"):out.index("RMS2")].split()
+    assert {"lr_init=0.01,", "lr_decay=0.0,", "epsilon_decay=1.0"} <= set(rms1)
     path = tmp_path / "ok.cfg"
     path.write_text(GOOD, encoding="utf-8")
     assert main(["validate", str(path)]) == 0
     assert "OK: environment=wheel" in capsys.readouterr().out
+    path.write_text('[environment]\nname=wheel\ndelta=0.5\n[agent "RMS1"]\nlr_init=0.05\n',
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert "OK: environment=wheel agents=[RMS1]" in capsys.readouterr().out
     bad = tmp_path / "bad.cfg"
     bad.write_text("[environment]\nname=wheel\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 2

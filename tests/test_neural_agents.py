@@ -216,6 +216,41 @@ def test_preset_overrides_apply_and_unknowns_rejected():
     assert nl._prior == (0.5, 4.0, 3.0)
 
 
+# where an agent keeps a key's value under another name
+_HELD_AS = {"lambda": "ridge", "lr": "lr_init", "p_keep": "dropout_keep",
+            "sigma_init": "sigma", "ema_decay": "decay"}
+
+
+def held_value(agent, key):
+    """The value of a preset key as the built agent holds it."""
+    trainer = agent.nets[0] if isinstance(agent, BootstrapAgent) else getattr(agent, "core", agent)
+    holders = [agent, trainer, getattr(trainer, "schedule", None)]
+    holders += [getattr(agent, part, None) for part in ("posterior", "heads", "cfg", "ema")]
+    name = _HELD_AS.get(key, key)
+    for holder in holders:
+        if holder is not None and hasattr(holder, name):
+            return getattr(holder, name)
+    raise AssertionError(f"{agent.name} holds no {name!r}")
+
+
+def other_value(default):
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    return default / 2 if default else 0.5
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, preset in PRESETS.items() for key in preset.params
+])
+def test_every_declared_key_builds(name, key):
+    preset = get_preset(name)
+    value = other_value(preset.defaults["ridge" if key == "lambda" else key])
+    agent = preset.make(3, 2, 50, 0, {key: value})
+    assert held_value(agent, key) == value
+
+
 def test_rms_preset_schedules():
     rms1 = get_preset("RMS1").make(2, 2, 50, 0)
     assert rms1.core.schedule.reset_policy == "fixed"

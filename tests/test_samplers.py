@@ -17,9 +17,14 @@ from banditbench import (
     const_sgd_step,
     sgfs_step,
 )
-from banditbench.mlp import make_dropout_masks, masked_mse, mlp_backward, mlp_forward
+from banditbench.mlp import (
+    TrainingSchedule,
+    make_dropout_masks,
+    masked_mse,
+    mlp_backward,
+    mlp_forward,
+)
 from banditbench.neural import DropoutAgent
-from banditbench.presets import rms2_schedule
 from banditbench.samplers import (
     DIAG_FLOOR,
     ConstSGDConfig,
@@ -349,6 +354,9 @@ def test_bbb_loss_terms_and_validation():
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=0, noise_sigma=1.0, noise=noise)
     with pytest.raises(ValueError):
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=0.0, noise=noise)
+    for noise_sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="noise_sigma must be positive"):
+            BayesByBackpropAgent(2, 2, seed=0, noise_sigma=noise_sigma, hidden=(4,))
     with pytest.raises(ValueError):
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=1.0,
                            noise=np.zeros(1))
@@ -562,7 +570,8 @@ def test_training_matches_the_reference_loops_bitwise(kind):
                                      ramp_initial=6, ramp_periods=3, hidden=hidden, train_every=10)
         ref = ReferenceBBB(agent.net, seed, 0.1, 0.02, bs, 2, 6, 3)
     else:
-        schedule = rms2_schedule(train_every=10, batches_per_period=3, batch_size=bs)
+        schedule = TrainingSchedule(10, 3, bs, lr_init=0.01, lr_decay=0.55,
+                                    reset_policy="reset-each-period")
         agent = DropoutAgent(dim, k, schedule, seed, p_keep=0.7, hidden=(8, 6))
         ref = ReferenceDropout(agent.core.net, seed, schedule, 0.7)
     trainer = getattr(agent, "core", agent)
