@@ -32,15 +32,7 @@ from .core import (
     report_from_traces,
     run_trial,
 )
-from .envs import (
-    ConstantFeatureEnv,
-    DatasetSpec,
-    LinearConfig,
-    SampledLinearBandit,
-    WheelBandit,
-    WheelConfig,
-    dataset_load,
-)
+from .envs import ENVIRONMENTS, ConstantFeatureEnv, DatasetSpec
 from .presets import get_preset
 
 WARMUP_PULLS = 3
@@ -52,24 +44,17 @@ SUMMARY_HEADER = (
 
 
 def build_env_factory(config: BenchmarkConfig) -> Callable[[int], Environment]:
-    """Environment factory honoring the run horizon; raises ConfigError.
-
-    The factory pickles, so worker processes get it as built here (a dataset
-    is read once per run, not once per cell).
-    """
+    """The config's picklable seed -> environment factory (its ``factory()``),
+    honoring the run horizon; raises ConfigError."""
     env = dict(config.environment)
-    name = env.pop("name")
+    kind = ENVIRONMENTS[env.pop("name")]
     constant = env.pop("constant_feature", False)
     run_horizon = config.run.horizon
-    if run_horizon is not None and "horizon" not in env and name != "dataset":
+    # a dataset has the rows it has; a drawn environment draws the run's steps
+    if run_horizon is not None and "horizon" not in env and kind is not DatasetSpec:
         env["horizon"] = run_horizon
     try:
-        if name == "wheel":
-            factory = functools.partial(WheelBandit, WheelConfig(**env))
-        elif name == "linear":
-            factory = functools.partial(SampledLinearBandit, LinearConfig(**env))
-        else:
-            factory = dataset_load(DatasetSpec(**env)).shuffled
+        factory = kind(**env).factory()
     except (ValueError, OSError) as exc:
         raise ConfigError(f"environment setup failed: {exc}") from exc
     if constant:
@@ -102,14 +87,20 @@ def _resolve_horizon(config: BenchmarkConfig, probe: Environment) -> int:
 def setup_run(config: BenchmarkConfig) -> tuple[Callable[[int], Environment], int]:
     """The environment factory and the horizon every cell shares.
 
-    Each agent block is built once on the probe environment, so a bad value
-    raises a ConfigError naming the block's line before any cell runs.
+    Every trial's environment is built once, the first serving as the probe,
+    so a value that fails for some seed raises a ConfigError naming the seed
+    before any cell runs.  Each agent block is built once on the probe, so a
+    bad value raises a ConfigError naming the block's line.
     """
     env_factory = build_env_factory(config)
-    try:
-        probe = env_factory(config.run.seed)
-    except ValueError as exc:
-        raise ConfigError(f"environment setup failed: {exc}") from exc
+    probe = None
+    for seed in range(config.run.seed, config.run.seed + config.run.trials):
+        try:
+            env = env_factory(seed)
+        except ValueError as exc:
+            raise ConfigError(f"environment setup failed for seed {seed}: {exc}") from exc
+        if probe is None:
+            probe = env
     horizon = _resolve_horizon(config, probe)
     for spec in config.agents:
         try:

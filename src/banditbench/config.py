@@ -17,66 +17,22 @@ Grammar::
     workers=1
 
 One ``[environment]`` block, any number of ``[agent "<preset>"]`` blocks
-(each preset at most once), and at most one ``[run]`` block.  Keys are
-validated against the environment schema or the preset's declared override
-schema; violations raise ``ConfigError`` carrying the offending line number.
+(each preset at most once), and at most one ``[run]`` block.  The keys of a
+block are the fields of the environment's config dataclass
+(``envs.ENVIRONMENTS``), the preset's defaults, or ``RunSettings``'s fields;
+violations raise ``ConfigError`` carrying the offending line number.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
+from .envs import ENVIRONMENTS
 from .presets import PRESETS
 
 _AGENT_HEADER = re.compile(r'^\[agent\s+"([^"]+)"\]$')
-
-ENV_NAMES = ("wheel", "linear", "dataset")
-
-# key -> (type, required)
-_ENV_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "wheel": {
-        "delta": (float, True),
-        "horizon": (int, False),
-        "safe_reward": (float, False),
-        "inner_reward": (float, False),
-        "outer_reward": (float, False),
-        "noise_sigma": (float, False),
-        "constant_feature": (bool, False),
-    },
-    "linear": {
-        "dim": (int, False),
-        "num_actions": (int, False),
-        "horizon": (int, False),
-        "beta_variance": (float, False),
-        "noise_sigma": (float, False),
-        "context_mean": (float, False),
-        "constant_feature": (bool, False),
-    },
-    "dataset": {
-        "path": (str, True),
-        "reward_rule": (str, True),
-        "delimiter": (str, False),
-        "header": (bool, False),
-        "label_column": ("column", False),
-        "numeric_columns": ("columns", False),
-        "categorical_columns": ("columns", False),
-        "reward_columns": ("columns", False),
-        "num_actions": (int, False),
-        "horizon": (int, False),
-        "seed": (int, False),
-        "constant_feature": (bool, False),
-    },
-}
-
-_RUN_SCHEMA: dict[str, type] = {
-    "trials": int,
-    "horizon": int,
-    "seed": int,
-    "out": str,
-    "workers": int,
-}
 
 
 class ConfigError(ValueError):
@@ -112,6 +68,15 @@ class BenchmarkConfig:
     run: RunSettings = field(default_factory=RunSettings)
 
 
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError
+
+
 def _column(raw: str):
     try:
         return int(raw)
@@ -119,31 +84,52 @@ def _column(raw: str):
         return raw
 
 
+def _columns(raw: str) -> tuple:
+    return tuple(_column(c.strip()) for c in raw.split(",") if c.strip() != "")
+
+
+# key type -> the parser of its text; a parser raises ValueError on bad text
+_PARSERS = {bool: _bool, int: int, float: float, str: str,
+            "column": _column, "columns": _columns}
+
+
+def key_schema(cls) -> dict[str, tuple]:
+    """Each field of dataclass ``cls`` as a config key: name -> (type, required).
+
+    As for preset keys, a key's type is the type of its default; where the
+    default is None or absent it is the annotation without Optional.  A tuple
+    is a comma-separated list of columns, and ``Union[str, int]`` one column,
+    a header name or an index.  A key is required iff it has no default; a
+    type no parser reads raises TypeError.
+    """
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        required = default is MISSING
+        typ = hints[f.name] if default is None or required else type(default)
+        if get_origin(typ) is Union:
+            typ = Union[tuple(a for a in get_args(typ) if a is not type(None))]
+        typ = {tuple: "columns", Union[str, int]: "column"}.get(typ, typ)
+        if typ not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config type for {typ!r}")
+        schema[f.name] = (typ, required)
+    return schema
+
+
+# constant_feature, the one key no dataclass declares, appends a constant 1.0
+# to every context (envs.ConstantFeatureEnv)
+_ENV_KEYS = {name: {**key_schema(cls), "constant_feature": (bool, False)}
+             for name, cls in ENVIRONMENTS.items()}
+_RUN_KEYS = key_schema(RunSettings)
+
+
 def _convert(raw: str, typ, key: str, line: int):
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is str:
-            return raw
-        if typ == "column":
-            return _column(raw)
-        if typ == "columns":
-            return tuple(_column(c.strip()) for c in raw.split(",") if c.strip() != "")
+        return _PARSERS[typ](raw)
     except ValueError:
-        pass
-    else:
-        raise ConfigError(f"internal: unhandled type for key {key!r}", line)
-    want = typ if isinstance(typ, str) else typ.__name__
-    raise ConfigError(f"value {raw!r} for key {key!r} is not a valid {want}", line)
+        want = typ if isinstance(typ, str) else typ.__name__
+        raise ConfigError(f"value {raw!r} for key {key!r} is not a valid {want}", line) from None
 
 
 def _split_kv(text: str, line: int) -> tuple[str, str]:
@@ -203,9 +189,9 @@ def parse_config(text: str) -> BenchmarkConfig:
 
         if section == "environment":
             if key == "name":
-                if value not in ENV_NAMES:
+                if value not in ENVIRONMENTS:
                     raise ConfigError(
-                        f"unknown environment {value!r}; expected one of {ENV_NAMES}",
+                        f"unknown environment {value!r}; expected one of {tuple(ENVIRONMENTS)}",
                         line_no,
                     )
                 current[key] = value
@@ -220,9 +206,9 @@ def parse_config(text: str) -> BenchmarkConfig:
                 raise ConfigError(reason, line_no)
             current[key] = _convert(value, schema[key], key, line_no)
         else:  # run
-            if key not in _RUN_SCHEMA:
+            if key not in _RUN_KEYS:
                 raise ConfigError(f"unknown [run] key {key!r}", line_no)
-            current[key] = (_convert(value, _RUN_SCHEMA[key], key, line_no), line_no)
+            current[key] = (_convert(value, _RUN_KEYS[key][0], key, line_no), line_no)
 
     if env_raw is None:
         raise ConfigError("missing [environment] section")
@@ -230,7 +216,7 @@ def parse_config(text: str) -> BenchmarkConfig:
         raise ConfigError("environment block must set name=", env_line)
 
     name = env_raw["name"]
-    schema = _ENV_SCHEMAS[name]
+    schema = _ENV_KEYS[name]
     environment = {"name": name}
     for key, entry in env_raw.items():
         if key == "name":

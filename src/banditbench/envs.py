@@ -7,15 +7,20 @@ from its own seed, and hands both arrays to the base class, which answers
 A trial's contexts are therefore fixed, and two agents given the same seed
 face the same sequence.  What a subclass adds is its reward noise,
 ``realize_reward``, drawn step by step from the rng the harness passes in.
+
+``ENVIRONMENTS`` names each environment's config dataclass; a config's
+``factory()`` is the picklable seed -> environment builder a run uses, and its
+fields are the keys of a config file's ``[environment]`` block.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +39,6 @@ REWARD_RULES = (
 )
 
 MUSHROOM_EAT = 0
-MUSHROOM_ABSTAIN = 1
 MUSHROOM_SAFE_REWARD = 5.0
 MUSHROOM_POISON_GOOD = 5.0
 MUSHROOM_POISON_BAD = -35.0
@@ -68,6 +72,9 @@ class WheelConfig:
         _require_finite(self, ("safe_reward", "inner_reward", "outer_reward", "noise_sigma"))
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+
+    def factory(self) -> Callable[[int], Environment]:
+        return functools.partial(WheelBandit, self)
 
 
 def _require_finite(config, keys: Sequence[str]) -> None:
@@ -141,6 +148,9 @@ class LinearConfig:
             raise ValueError("beta_variance must be positive")
         self.noise_vector()
 
+    def factory(self) -> Callable[[int], Environment]:
+        return functools.partial(SampledLinearBandit, self)
+
     def noise_vector(self) -> np.ndarray:
         sig = np.broadcast_to(
             np.asarray(self.noise_sigma, dtype=np.float64), (self.num_actions,)
@@ -201,6 +211,10 @@ class DatasetSpec:
                 f"delimiter must be one character, not a quote or line break: "
                 f"{self.delimiter!r}"
             )
+
+    def factory(self) -> Callable[[int], DatasetBandit]:
+        """Reads the file once; each seed gets its own shuffle of the rows."""
+        return dataset_load(self).shuffled
 
 
 class DatasetBandit(Environment):
@@ -407,6 +421,9 @@ def dataset_load(spec: DatasetSpec) -> DatasetBandit:
     return DatasetBandit(
         X, R, name=name, poisonous=poisonous, horizon=spec.horizon, dropped_rows=dropped
     )
+
+
+ENVIRONMENTS = {"wheel": WheelConfig, "linear": LinearConfig, "dataset": DatasetSpec}
 
 
 def mushroom_env(

@@ -283,10 +283,11 @@ class TrainingSchedule:
     reset_policy: str = "fixed"
 
     def __post_init__(self):
-        if self.train_every < 1 or self.batches_per_period < 1 or self.batch_size < 1:
-            raise ValueError("schedule counts must be positive")
-        if self.lr_init <= 0 or self.lr_decay < 0:
-            raise ValueError("lr_init must be positive and lr_decay >= 0")
+        for key in ("train_every", "batches_per_period", "batch_size", "lr_init"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if not self.lr_decay >= 0:
+            raise ValueError(f"lr_decay must be >= 0, got {self.lr_decay!r}")
         if self.reset_policy not in RESET_POLICIES:
             raise ValueError(f"reset_policy must be one of {RESET_POLICIES}")
 

@@ -44,7 +44,7 @@ class FisherEMA:
 
     def __init__(self, params: np.ndarray, decay: float = 0.9):
         if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must lie in [0, 1)")
+            raise ValueError(f"ema_decay must lie in [0, 1), got {decay!r}")
         self.decay = decay
         self.diag = np.zeros_like(params)
 
@@ -383,6 +383,10 @@ class BayesByBackpropAgent(TrainableNet, Agent):
     ):
         if not noise_sigma > 0:
             raise ValueError("noise_sigma must be positive")
+        if ramp_periods < 0:
+            raise ValueError(f"ramp_periods must be >= 0, got {ramp_periods!r}")
+        if ramp_initial is not None and ramp_initial < 1:
+            raise ValueError(f"ramp_initial must be >= 1, got {ramp_initial!r}")
         schedule = TrainingSchedule(train_every, batches_per_period, batch_size, lr_init=lr)
         self.prior_sigma = prior_sigma
         super().__init__(dim, num_actions, schedule, seed, hidden)

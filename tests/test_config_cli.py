@@ -1,14 +1,16 @@
 """Config parsing, the benchmark runner, result files, and the CLI."""
 
 import csv
+import dataclasses
 import functools
 import re
 import time
+from typing import Optional, Union
 
 import numpy as np
 import pytest
 
-from banditbench import bench
+from banditbench import bench, envs
 from banditbench.bench import (
     SUMMARY_HEADER,
     build_env_factory,
@@ -18,8 +20,9 @@ from banditbench.bench import (
     sanitize_name,
 )
 from banditbench.cli import main
-from banditbench.config import ConfigError, load_config, parse_config
-from banditbench.envs import ConstantFeatureEnv, dataset_load
+from banditbench.config import ConfigError, key_schema, load_config, parse_config
+from banditbench.core import Environment
+from banditbench.envs import ENVIRONMENTS, ConstantFeatureEnv, dataset_load
 from banditbench.linear import LinearThompsonAgent
 
 GOOD = """\
@@ -141,6 +144,77 @@ def test_load_config_reads_files(tmp_path):
     path = tmp_path / "bench.cfg"
     path.write_text(GOOD, encoding="utf-8")
     assert load_config(str(path)).run.trials == 2
+
+
+def _has_default(f: dataclasses.Field) -> bool:
+    return f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+
+
+@pytest.mark.parametrize("name", list(ENVIRONMENTS))
+def test_every_config_field_is_an_environment_key(name):
+    keys = [f.name for f in dataclasses.fields(ENVIRONMENTS[name])] + ["constant_feature"]
+    optional = {f.name for f in dataclasses.fields(ENVIRONMENTS[name]) if _has_default(f)}
+    optional.add("constant_feature")
+    # "1" reads as every key type: a bool, a number, a string or a column
+    lines = {key: f"{key}=1\n" for key in keys}
+    cfg = parse_config(f"[environment]\nname={name}\n" + "".join(lines.values()))
+    assert list(cfg.environment) == ["name", *keys]
+    for key in keys:
+        text = f"[environment]\nname={name}\n"
+        text += "".join(line for k, line in lines.items() if k != key)
+        if key in optional:
+            parse_config(text)
+        else:
+            with pytest.raises(ConfigError, match=f"requires key {key!r}"):
+                parse_config(text)
+
+
+def _config_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _keys_besides(name: str, key: str, data) -> dict:
+    """Values for the keys an environment needs built besides ``key``: a
+    dataset's reward rule needs num_actions or a label column."""
+    if name == "wheel":
+        return {"delta": "0.5"}
+    if name == "linear":
+        return {}
+    base = {"path": str(data), "header": "false", "numeric_columns": "0"}
+    if key == "num_actions":
+        return {**base, "reward_rule": "classification", "label_column": "1"}
+    return {**base, "reward_rule": "financial_synthetic", "num_actions": "2"}
+
+
+@pytest.mark.parametrize("name, key, default", [
+    pytest.param(name, f.name, f.default, id=f"{name}-{f.name}")
+    for name, cls in ENVIRONMENTS.items() for f in dataclasses.fields(cls) if _has_default(f)
+] + [pytest.param(name, "constant_feature", False, id=f"{name}-constant_feature")
+     for name in ENVIRONMENTS])
+def test_every_environment_key_builds_at_its_default(name, key, default, tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("1.0,a\n2.0,b\n3.0,a\n", encoding="utf-8")
+    keys = _keys_besides(name, key, data)
+    if default is not None:  # None has no config spelling: the key is set after parsing
+        keys[key] = _config_text(default)
+    text = f"[environment]\nname={name}\n" + "".join(f"{k}={v}\n" for k, v in keys.items())
+    cfg = parse_config(text)
+    if default is None:
+        cfg.environment[key] = None
+    assert cfg.environment[key] == default
+    assert isinstance(build_env_factory(cfg)(0), Environment)
+
+
+@pytest.mark.parametrize("annotation, default", [
+    (list, dataclasses.MISSING), (complex, 1j), (Optional[dict], None),
+    (Optional[Union[int, float]], None),
+], ids=["list", "complex", "Optional-dict", "Union-int-float"])
+def test_a_field_no_parser_reads_is_refused_when_its_schema_is_derived(annotation, default):
+    Odd = dataclasses.make_dataclass(
+        "Odd", [("delta", float), ("odd", annotation, dataclasses.field(default=default))]
+    )
+    with pytest.raises(TypeError, match="Odd.odd: no config type"):
+        key_schema(Odd)
 
 
 def test_build_env_factory_variants(tmp_path):
@@ -283,7 +357,7 @@ def test_serial_dataset_run_reads_the_file_once(tmp_path, monkeypatch):
         loads.append(spec)
         return dataset_load(spec)
 
-    monkeypatch.setattr(bench, "dataset_load", counting_load)
+    monkeypatch.setattr(envs, "dataset_load", counting_load)
     cfg = parse_config(
         f"[environment]\nname=dataset\npath={data}\nreward_rule=classification\n"
         "header=false\nlabel_column=1\nnumeric_columns=0\ncategorical_columns=\n"
@@ -354,6 +428,11 @@ _BAD_AGENT_VALUES = [
     ("Dropout", "p_keep=-0.2", "p_keep must lie in (0, 1], got -0.2"),
     ("BBB", "noise_sigma=0", "noise_sigma must be positive"),
     ("BBB", "noise_sigma=-1", "noise_sigma must be positive"),
+    ("BBB", "ramp_periods=-3", "ramp_periods must be >= 0, got -3"),
+    ("BBB", "ramp_initial=-5", "ramp_initial must be >= 1, got -5"),
+    ("SGFS", "ema_decay=1.0", "ema_decay must lie in [0, 1), got 1.0"),
+    ("RMS1", "batch_size=0", "batch_size must be positive, got 0"),
+    ("RMS1", "lr_decay=-1", "lr_decay must be >= 0, got -1.0"),
 ]
 
 
@@ -381,31 +460,41 @@ def test_a_bad_agent_value_fails_before_any_cell(workers, tmp_path, monkeypatch,
 
 
 _DATASET = "name=dataset\npath={data}\nheader=false\ncategorical_columns=\nnumeric_columns=0\n"
+_ONE_TRIAL = "trials=1\nhorizon=2"
 
 
-@pytest.mark.parametrize("environment, data, reason", [
-    ("name=wheel\ndelta=0.5\nnoise_sigma=nan", "", "noise_sigma must be finite, got nan"),
-    ("name=wheel\ndelta=0.5\nsafe_reward=nan", "", "safe_reward must be finite, got nan"),
-    ("name=wheel\ndelta=0.5\ninner_reward=-inf", "", "inner_reward must be finite, got -inf"),
-    ("name=wheel\ndelta=0.5\nouter_reward=inf", "", "outer_reward must be finite, got inf"),
-    ("name=linear\nbeta_variance=inf", "", "beta_variance must be finite, got inf"),
-    ("name=linear\ncontext_mean=nan", "", "context_mean must be finite, got nan"),
-    ("name=linear\nnoise_sigma=nan", "", "noise_sigma must be finite and >= 0, got nan"),
+@pytest.mark.parametrize("environment, data, run, reason", [
+    ("name=wheel\ndelta=0.5\nnoise_sigma=nan", "", _ONE_TRIAL,
+     "noise_sigma must be finite, got nan"),
+    ("name=wheel\ndelta=0.5\nsafe_reward=nan", "", _ONE_TRIAL,
+     "safe_reward must be finite, got nan"),
+    ("name=wheel\ndelta=0.5\ninner_reward=-inf", "", _ONE_TRIAL,
+     "inner_reward must be finite, got -inf"),
+    ("name=wheel\ndelta=0.5\nouter_reward=inf", "", _ONE_TRIAL,
+     "outer_reward must be finite, got inf"),
+    ("name=linear\nbeta_variance=inf", "", _ONE_TRIAL, "beta_variance must be finite, got inf"),
+    ("name=linear\ncontext_mean=nan", "", _ONE_TRIAL, "context_mean must be finite, got nan"),
+    ("name=linear\nnoise_sigma=nan", "", _ONE_TRIAL,
+     "noise_sigma must be finite and >= 0, got nan"),
     # finite inputs whose rewards overflow
-    ("name=linear\ncontext_mean=1e308\nbeta_variance=1e10", "",
+    ("name=linear\ncontext_mean=1e308\nbeta_variance=1e10", "", _ONE_TRIAL,
      "expected rewards must be finite: row 0 is not"),
     # finite contexts whose outer products overflow
-    ("name=linear\ndim=2\nnum_actions=1\ncontext_mean=1e308", "",
+    ("name=linear\ndim=2\nnum_actions=1\ncontext_mean=1e308", "", _ONE_TRIAL,
      "contexts must have a finite squared norm: row 0 does not"),
     (_DATASET + "reward_rule=classification\nlabel_column=1", "1.0,a\ninf,b\n3.0,a\n",
-     "contexts must be finite: row 1 is not"),
+     _ONE_TRIAL, "contexts must be finite: row 1 is not"),
     (_DATASET + "reward_rule=direct_columns\nreward_columns=1,2", "1.0,0.5,1.0\n2.0,-inf,1.0\n",
-     "expected rewards must be finite: row 1 is not"),
+     _ONE_TRIAL, "expected rewards must be finite: row 1 is not"),
+    # rewards that overflow for seeds 3, 5, 6 and 8 only
+    ("name=linear\ndim=2\nnum_actions=1\nhorizon=5\ncontext_mean=9e153\nbeta_variance=1e308",
+     "", "trials=10\nhorizon=2", "environment setup failed for seed 3: expected rewards must be "
+     "finite: row 0 is not"),
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
-        "linear-square-overflow", "dataset-context", "dataset-reward"])
+        "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow"])
 def test_a_non_finite_environment_value_fails_before_any_cell(
-    environment, data, reason, tmp_path, monkeypatch, capsys
+    environment, data, run, reason, tmp_path, monkeypatch, capsys
 ):
     log = tmp_path / "cells.log"
     monkeypatch.setattr(bench, "run_trial", functools.partial(_logged_trial, log, bench.run_trial))
@@ -415,7 +504,7 @@ def test_a_non_finite_environment_value_fails_before_any_cell(
     path = tmp_path / "bad.cfg"
     path.write_text(
         f"[environment]\n{environment.format(data=data_path)}\n"
-        '[agent "LinGreedy"]\n[run]\ntrials=1\nhorizon=2\n',
+        f'[agent "LinGreedy"]\n[run]\n{run}\n',
         encoding="utf-8",
     )
     assert main(["validate", str(path)]) == 2

@@ -1,4 +1,5 @@
-"""Every module under src/ and tests/ uses each name it imports.
+"""Every module under src/ and tests/ uses each name it imports, and every
+top-level definition under src/ is read somewhere in src/, tests/ or perfbench/.
 
 An import kept on purpose for a name the module never reads carries
 ``# noqa: F401`` on its line, as flake8 spells it.
@@ -11,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,49 @@ def test_the_scan_sees_a_dead_import_and_honours_noqa():
         "from . import used\n__all__ = ['used']\nx: Optional[int] = os.sep\n"
     )
     assert unused_imports(source) == ["Union"]
+
+
+def definitions(source: str) -> list[str]:
+    """The functions, classes and constants a module defines at top level,
+    dunder names such as ``__all__`` aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads, bare or as an attribute, or imports by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+@pytest.fixture(scope="module")
+def read_anywhere() -> set[str]:
+    return set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_top_level_definition_is_read(path, read_anywhere):
+    unread = [n for n in definitions(path.read_text(encoding="utf-8")) if n not in read_anywhere]
+    assert unread == []
+
+
+def test_the_scan_sees_an_unread_definition():
+    source = (
+        "import os\n__all__ = ['A']\nA, B = 1, 2\nC: int = 3\nD = 4\n"
+        "def f():\n    return A + os.sep\nclass K:\n    pass\n"
+    )
+    read = read_names(source) | read_names("from m import C\nimport m\nm.K\n")
+    assert [n for n in definitions(source) if n not in read] == ["B", "D", "f"]
