@@ -201,21 +201,20 @@ def emit_results(result: BenchmarkResult, out_dir) -> list[Path]:
         san = sanitize_name(report.agent)
         for i, trace in enumerate(report.traces):
             path = out / f"trace_{san}_{i}.csv"
-            inst = trace.instantaneous_regret()
+            # tolist() gives Python floats, whose repr is what _fmt writes
+            columns = zip(trace.actions.tolist(), trace.realized_rewards.tolist(),
+                          trace.optimal_rewards.tolist(), trace.instantaneous_regret().tolist())
             lines = ["trial,step,action,realized_reward,optimal_expected_reward,instantaneous_regret"]
-            for step in range(len(trace)):
-                lines.append(
-                    f"{i},{step},{trace.actions[step]},{_fmt(trace.realized_rewards[step])},"
-                    f"{_fmt(trace.optimal_rewards[step])},{_fmt(inst[step])}"
-                )
+            lines.extend(f"{i},{step},{a},{r!r},{o!r},{g!r}"
+                         for step, (a, r, o, g) in enumerate(columns))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)
 
         mean, err = regret_curve(report.traces)
         path = out / f"regret_curve_{san}.csv"
         lines = ["step,mean_cum_regret,stderr"]
-        for step in range(len(mean)):
-            lines.append(f"{step},{_fmt(mean[step])},{_fmt(err[step])}")
+        lines.extend(f"{step},{m!r},{e!r}"
+                     for step, (m, e) in enumerate(zip(mean.tolist(), err.tolist())))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 

@@ -22,6 +22,13 @@ Each arm carries a covariance root S (S S' = precision^-1) and its mean.  A
 single observation updates both in O(d^2); a batch update, or an arm's
 first read, refactors the precision, so S is upper-triangular only right
 after a refactor.
+
+A Thompson decision needs only each arm's score x'beta at the context x.
+Given sigma^2 that score is N(x'mu, sigma^2 x'C x), independently across
+arms, so ``sample(rng, approximation, at=x)`` draws k scores from k normals
+instead of k coefficient vectors from k*d; ``LinearThompsonAgent`` decides
+this way.  ``at`` is one row: the scores of several rows under one draw of
+beta are correlated, and drawing them needs beta.
 """
 
 from __future__ import annotations
@@ -43,7 +50,11 @@ class _RidgePosterior:
     """Ridge statistics, means and covariance roots of a batch of arms.
 
     Each arm keeps its mean and a root S of its covariance, S S' =
-    precision^-1, through which ``sample`` draws every arm in one product.
+    precision^-1, through which ``sample`` draws every arm in one product:
+    beta = mu + sqrt(sigma^2) S z, or, at one context row x, the score
+    x'mu + sqrt(sigma^2 ||S'x||^2) z with one normal per arm, which is how
+    a linear Thompson decision draws.  Only one row: the scores of several
+    rows under one beta are correlated, so they need the beta draw.
     A single-row ``update`` of a fresh arm carries both forward in O(d^2),
     without a factorization: with v = S'x, w = S v, s = v'v and
     r = sqrt(1 + s), Potter's square-root form S <- S - w v' / (r (r + 1))
@@ -92,14 +103,14 @@ class _RidgePosterior:
             if not (math.isfinite(s) and math.isfinite(innovation)):
                 raise ValueError(f"update of arm {arm} is not finite: "
                                  f"x'P^-1 x = {s}, innovation {innovation}")
-        self.precision[arm] += np.outer(x, x)
+        self.precision[arm] += x[:, None] * x
         self.bvec[arm] += x * y
         self.yy[arm] += y * y
         self.count[arm] += 1
         if fresh:
             w = root @ v
             r = math.sqrt(1.0 + s)
-            root -= np.outer(w / (r * (r + 1.0)), v)
+            root -= (w / (r * (r + 1.0)))[:, None] * v
             self._mean[arm] += w * (innovation / (1.0 + s))
             self._var_stale[arm] = True
         else:
@@ -119,6 +130,8 @@ class _RidgePosterior:
 
     def _factor(self) -> None:
         """Refactor the covariance root and mean of every stale arm."""
+        if not self._stale.any():
+            return
         for arm in map(tuple, np.argwhere(self._stale)):
             R = cholesky(self.precision[arm], lower=False)
             self._mean[arm] = cho_solve((R, False), self.bvec[arm])
@@ -162,6 +175,21 @@ class _RidgePosterior:
             noise = np.sqrt(self.covariance_diagonal(approximation)) * z
         return mean + np.sqrt(sigma_sq)[..., None] * noise
 
+    def _score_draw(self, x: np.ndarray, sigma_sq: np.ndarray, approximation: str,
+                    rng: np.random.Generator) -> np.ndarray:
+        """x'mu + sqrt(sigma_sq * x'C x) z per arm, one normal each; C the
+        chosen covariance shape, x one context row."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected context of shape ({self.dim},)")
+        mean = self.mean
+        if approximation == "exact":
+            v = x @ self._cov_root  # S'x of every arm
+            var = np.einsum("...i,...i->...", v, v)
+        else:
+            var = self.covariance_diagonal(approximation) @ (x * x)
+        return mean @ x + np.sqrt(sigma_sq * var) * rng.standard_normal(self.arms)
+
 
 class NIGLinearPosterior(_RidgePosterior):
     """Normal-Inverse-Gamma posterior over (beta, sigma^2).
@@ -197,13 +225,19 @@ class NIGLinearPosterior(_RidgePosterior):
         return self.b0 + 0.5 * np.maximum(quad, 0.0)
 
     def sample(
-        self, rng: np.random.Generator, approximation: str = "exact"
+        self, rng: np.random.Generator, approximation: str = "exact",
+        at: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Joint draw (beta, sigma^2) of every arm.
+        """Joint draw (beta, sigma^2) of every arm, or (x'beta, sigma^2) at
+        the one context row ``at = x``.
 
-        Arm by arm, sigma^2 ~ IG(a, b) is drawn as b / Gamma(shape=a, scale=1)
-        before the normals of beta | sigma^2.
+        sigma^2 ~ IG(a, b) is drawn as b / Gamma(shape=a, scale=1).  For beta,
+        arm by arm, each arm's gamma comes before its d normals; for scores,
+        every arm's gamma in one call, then one normal per arm.
         """
+        if at is not None:
+            sigma_sq = self.b / rng.gamma(self.a)
+            return self._score_draw(at, sigma_sq, approximation, rng), sigma_sq
         a = self.a
         gamma = np.empty(self.arms)
         z = np.empty(self.arms + (self.dim,))
@@ -229,10 +263,14 @@ class FixedNoiseLinearPosterior(_RidgePosterior):
         self.sigma_sq = sigma_sq
 
     def sample(
-        self, rng: np.random.Generator, approximation: str = "exact"
+        self, rng: np.random.Generator, approximation: str = "exact",
+        at: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw every arm's beta; sigma^2 is the known noise variance."""
+        """Draw every arm's beta, or its score x'beta at the one context row
+        ``at = x`` (one normal per arm); sigma^2 is the known noise variance."""
         sigma_sq = np.full(self.arms, self.sigma_sq)
+        if at is not None:
+            return self._score_draw(at, sigma_sq, approximation, rng), sigma_sq
         z = rng.standard_normal(self.arms + (self.dim,))
         return self._draw(z, sigma_sq, approximation), sigma_sq
 
@@ -243,9 +281,10 @@ class LinearThompsonAgent(Agent):
     ``sigma_sq=None`` selects the Normal-Inverse-Gamma posterior (noise
     variance learned); a float selects the fixed-noise Gaussian posterior.
     ``approximation`` picks the sampling covariance: exact, marginal-variance
-    diagonal, or inverse-precision diagonal.  The models are homogeneous; to
-    fit a reward baseline, build the environment with ``constant_feature =
-    true`` (``ConstantFeatureEnv``).
+    diagonal, or inverse-precision diagonal.  A decision draws each arm's
+    score at the context, not its coefficients (``sample(..., at=context)``).
+    The models are homogeneous; to fit a reward baseline, build the
+    environment with ``constant_feature = true`` (``ConstantFeatureEnv``).
     """
 
     def __init__(
@@ -272,7 +311,8 @@ class LinearThompsonAgent(Agent):
         self.name = name
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        return int(self.best_action(self.posterior.sample(rng, self.approximation)[0] @ context))
+        scores, _ = self.posterior.sample(rng, self.approximation, at=context)
+        return int(self.best_action(scores))
 
     def observe(self, obs: Observation) -> None:
         self.posterior.update(obs.context, obs.reward, obs.action)

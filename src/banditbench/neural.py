@@ -344,6 +344,10 @@ class NeuralLinearAgent(Agent):
     features.  After the net trains, the heads are rebuilt from their prior on
     freshly recomputed features for the whole history, so they never mix
     features from different network epochs.
+
+    A decision featurizes its context once: ``choose`` keeps phi(x) and the
+    ``observe`` of that context uses it.  Warm-up steps, which have no
+    ``choose``, featurize in ``observe``.
     """
 
     def __init__(
@@ -368,6 +372,7 @@ class NeuralLinearAgent(Agent):
         self.feature_dim = hidden[-1] + (1 if bias_feature else 0)
         self._prior = (ridge, a0, b0)
         self.heads = self._prior_heads()
+        self._chosen: Optional[tuple[np.ndarray, np.ndarray]] = None  # (x, phi(x))
         self.name = name
 
     def _prior_heads(self) -> NIGLinearPosterior:
@@ -380,11 +385,18 @@ class NeuralLinearAgent(Agent):
         return Z
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        return int(self.best_action(self.heads.sample(rng)[0] @ self._featurize(context)[0]))
+        phi = self._featurize(context)[0]
+        self._chosen = (context, phi)
+        return int(self.best_action(self.heads.sample(rng)[0] @ phi))
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
-        self.heads.update(self._featurize(obs.context)[0], obs.reward, obs.action)
+        chosen, self._chosen = self._chosen, None
+        if chosen and chosen[0] is obs.context:
+            phi = chosen[1]
+        else:
+            phi = self._featurize(obs.context)[0]
+        self.heads.update(phi, obs.reward, obs.action)
 
     def _refresh_heads(self) -> None:
         Z = self._featurize(self.buffer.contexts)
@@ -394,6 +406,7 @@ class NeuralLinearAgent(Agent):
             idx = self.buffer.action_indices(a)
             heads.batch_update(Z[idx], rewards[idx], a)
         self.heads = heads
+        self._chosen = None  # phi(x) of the old net must not enter the new heads
 
     def maybe_train(self, step: int) -> None:
         if self.core.train_if_due(step, self.buffer):

@@ -383,6 +383,8 @@ class BayesByBackpropAgent(TrainableNet, Agent):
     ):
         if not noise_sigma > 0:
             raise ValueError("noise_sigma must be positive")
+        if not lr > 0:
+            raise ValueError(f"lr must be positive, got {lr!r}")
         if ramp_periods < 0:
             raise ValueError(f"ramp_periods must be >= 0, got {ramp_periods!r}")
         if ramp_initial is not None and ramp_initial < 1:

@@ -239,6 +239,103 @@ def test_b_stays_positive_on_exactly_linear_data():
         assert post.b >= 6.0
 
 
+def _read_root_posterior(family):
+    """Four arms at d=5 on shifted (so correlated) contexts: every arm is
+    refactored once, then takes 60 single-row root updates, then arm 2 takes
+    a batch update and is refactored again at its next read.  The arms share
+    one reward law, so their scores compete."""
+    rng = np.random.default_rng(41)
+    k, d = 4, 5
+    post = (NIGLinearPosterior(d, arms=(k,)) if family == "nig"
+            else FixedNoiseLinearPosterior(d, sigma_sq=0.25, arms=(k,)))
+    w = rng.standard_normal(d)
+
+    def rows(n):
+        X = rng.standard_normal((n, d)) + 2.0
+        return X, X @ w + 0.5 * rng.standard_normal(n)
+
+    for a in range(k):
+        post.batch_update(*rows(3), a)
+    post.mean  # every arm fresh: the single rows below update roots
+    X, Y = rows(60)
+    for i, (x, y) in enumerate(zip(X, Y)):
+        post.update(x, float(y), i % k)
+    assert not post._stale.any()
+    post.batch_update(*rows(4), 2)
+    return post, rng.standard_normal(d) + 2.0
+
+
+SCORE_DRAWS = 20_000
+
+
+@pytest.mark.parametrize("family", ["fixed", "nig"])
+@pytest.mark.parametrize("approximation", linear.APPROXIMATIONS)
+def test_score_draws_follow_the_coefficient_draws_at_one_row(family, approximation):
+    post, x = _read_root_posterior(family)
+    rng = np.random.default_rng(5)
+    scores = np.stack([post.sample(rng, approximation, at=x)[0] for _ in range(SCORE_DRAWS)])
+    betas = np.stack([post.sample(rng, approximation)[0] @ x for _ in range(SCORE_DRAWS)])
+    assert post._stale.sum() == 0  # arm 2 was refactored by the reads
+    if approximation == "exact":
+        var = np.einsum("i,aij,j->a", x, post.covariance(), x)
+    else:
+        var = post.covariance_diagonal(approximation) @ (x * x)
+    # Mean: within 4 standard errors of x'mu.
+    se = scores.std(axis=0) / np.sqrt(SCORE_DRAWS)
+    assert np.all(np.abs(scores.mean(axis=0) - post.mean @ x) < 4 * se)
+    # Variance: a sample variance of 2e4 normals has a relative standard error
+    # of 1% (1.2% for the NIG scale mixture at a >= 7), so 6% is 5 of them.
+    # Fixed noise: sigma^2 x'Cx; NIG: the variance of the beta draws at x.
+    want = 0.25 * var if family == "fixed" else betas.var(axis=0)
+    np.testing.assert_allclose(scores.var(axis=0), want, rtol=0.06)
+    if family == "nig":  # and both match E[sigma^2] x'Cx
+        np.testing.assert_allclose(scores.var(axis=0), post.b / (post.a - 1) * var, rtol=0.06)
+    # Actions: each arm's argmax frequency agrees within 4 binomial SEs.
+    k = post.arms[0]
+    p_score = np.bincount(scores.argmax(axis=1), minlength=k) / SCORE_DRAWS
+    p_beta = np.bincount(betas.argmax(axis=1), minlength=k) / SCORE_DRAWS
+    assert np.sum(p_beta > 0.05) >= 2  # the arms compete, so the check can fail
+    pooled = (p_score + p_beta) / 2
+    assert np.all(np.abs(p_score - p_beta) <= 4 * np.sqrt(2 * pooled * (1 - pooled) / SCORE_DRAWS))
+
+
+@pytest.mark.parametrize("approximation", linear.APPROXIMATIONS)
+def test_score_draw_order_is_pinned(approximation):
+    for family in ("fixed", "nig"):
+        post, x = _read_root_posterior(family)
+        if approximation == "exact":
+            var = np.einsum("i,aij,j->a", x, post.covariance(), x)
+        else:
+            var = post.covariance_diagonal(approximation) @ (x * x)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            scores, sigma_sq = post.sample(rng, approximation, at=x)
+            by_hand = np.random.default_rng(seed)
+            if family == "nig":  # every arm's gamma in one call, then k normals
+                want_sigma_sq = post.b / by_hand.gamma(post.a)
+            else:
+                want_sigma_sq = np.full(4, 0.25)
+            want = post.mean @ x + np.sqrt(want_sigma_sq * var) * by_hand.standard_normal(4)
+            np.testing.assert_array_equal(sigma_sq, want_sigma_sq)
+            np.testing.assert_allclose(scores, want, rtol=1e-12)
+            assert rng.random() == by_hand.random()  # nothing more was drawn
+
+
+def test_a_score_draw_takes_one_row():
+    post, x = _read_root_posterior("fixed")
+    with pytest.raises(ValueError, match="context of shape"):
+        post.sample(np.random.default_rng(0), at=np.stack([x, x]))
+
+
+def test_thompson_decides_on_the_score_draw():
+    post, x = _read_root_posterior("nig")
+    agent = LinearThompsonAgent(5, 4, approximation="diag")
+    agent.posterior = post
+    for seed in range(5):
+        scores, _ = post.sample(np.random.default_rng(seed), "diag", at=x)
+        assert agent.choose(x, np.random.default_rng(seed)) == int(np.argmax(scores))
+
+
 def test_noise_variance_sampling_mean():
     rng = np.random.default_rng(3)
     post = NIGLinearPosterior(2, ridge=0.25, a0=6.0, b0=6.0)

@@ -5,6 +5,7 @@ import pytest
 
 from banditbench import (
     BootstrapAgent,
+    ConstantFeatureEnv,
     ContractViolation,
     DropoutAgent,
     LinearConfig,
@@ -15,11 +16,14 @@ from banditbench import (
     PRESETS,
     SampledLinearBandit,
     TrainingSchedule,
+    WheelBandit,
+    WheelConfig,
     cumulative_regret,
     get_preset,
     list_presets,
     run_trial,
 )
+from banditbench import neural
 from banditbench.neural import TrainableNet
 
 SMALL = TrainingSchedule(train_every=10, batches_per_period=3, batch_size=8)
@@ -180,6 +184,41 @@ def test_neural_linear_refresh_rebuilds_heads_from_new_features():
     assert any(not np.allclose(m, h) for m, h in zip(old_means, agent.heads.mean))
     a = agent.choose(np.ones(3), np.random.default_rng(0))
     assert a in (0, 1)
+
+
+def test_neural_linear_featurizes_each_step_once(monkeypatch):
+    calls = []
+    original = neural.hidden_features
+    monkeypatch.setattr(neural, "hidden_features",
+                        lambda net, X: calls.append(np.ndim(X)) or original(net, X))
+    horizon = 200
+    env = ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95, horizon=horizon), 0))
+    agent = get_preset("NeuralLinear").make(env.dim, env.num_actions, horizon, 0)
+    run_trial(env, agent, seed=0)
+    # one single-row pass per step (choose's on a decision, observe's in the
+    # warm-up) and one pass over the history per refit
+    assert agent.core.period > 0
+    assert calls.count(1) == horizon
+    assert calls.count(2) == agent.core.period
+
+
+def test_neural_linear_reuses_phi_only_for_the_chosen_context_and_net():
+    rng = np.random.default_rng(3)
+    reused = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4))
+    fresh = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4))
+    x, other = rng.standard_normal(3), rng.standard_normal(3)
+    reused.choose(x, np.random.default_rng(0))
+    for agent in (reused, fresh):
+        agent.observe(Observation(context=other, action=1, reward=1.0))
+    np.testing.assert_array_equal(reused.heads.bvec, fresh.heads.bvec)
+    # nor one it chose on before the net trained and the heads were rebuilt
+    feed(reused, 20, 3, 2, seed=5)
+    reused.choose(x, np.random.default_rng(0))
+    reused.maybe_train(0)
+    before = reused.heads.bvec[0].copy()
+    reused.observe(Observation(context=x, action=0, reward=1.0))
+    np.testing.assert_array_equal(reused.heads.bvec[0],
+                                  before + reused._featurize(x)[0].astype(np.float64))
 
 
 def test_preset_registry_contents():
