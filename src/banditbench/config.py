@@ -237,6 +237,10 @@ def parse_config(text: str) -> BenchmarkConfig:
     for key, (value, line_no) in (run_raw or {}).items():
         if key in ("trials", "horizon", "workers") and value < 1:
             raise ConfigError(f"{key} must be positive", line_no)
+        if key == "seed" and value < 0:
+            raise ConfigError("seed must be >= 0", line_no)
+        if key == "out" and not value:
+            raise ConfigError("out must not be empty", line_no)
         setattr(run, key, value)
 
     return BenchmarkConfig(environment=environment, agents=agents, run=run)

@@ -1,15 +1,19 @@
 """Neural bandit agents built on the shared MLP machinery.
 
-All of these agents fit one reward head per action with a masked MSE loss on
-mini-batches drawn uniformly with replacement from the full history, firing a
-training period of ``batches_per_period`` batches every ``train_every``
-decision steps (``TrainableNet.train_period``, which the ``samplers`` agents
-subclass).  They differ in where decision-time randomness comes from:
+``TrainableNet`` is the one owner of a net: an agent with its net, its
+history buffer and its training schedule, which fits one reward head per
+action with a masked MSE loss on mini-batches drawn uniformly with
+replacement from its whole history, firing a training period of
+``batches_per_period`` batches every ``train_every`` decision steps.  Every
+trained agent subclasses it (the ``samplers`` agents too), and they differ in
+where decision-time randomness comes from:
 
 * ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks).
-* ``BootstrapAgent``: which ensemble member answers.
 * ``ParameterNoiseAgent``: Gaussian noise added to every parameter.
 * ``NeuralLinearAgent``: a Bayesian linear head over the last hidden layer.
+
+``BootstrapAgent`` is q ``TrainableNet`` members, each trained on its own
+resample of the history; which member answers is its randomness.
 
 Every net computes in ``TRAIN_DTYPE`` (float32): ``TrainableNet`` casts the
 float64 net it initializes, and the ``mlp`` and ``samplers`` functions follow
@@ -49,13 +53,17 @@ DEFAULT_HIDDEN = (100, 100)
 TRAIN_DTYPE = np.float32
 
 
-class TrainableNet:
-    """An MLP, its RMSProp state, and a training schedule with its own RNG.
+class TrainableNet(Agent):
+    """The one owner of a reward net: an agent holding an MLP, its RMSProp
+    state, its history ``buffer`` and a training schedule with its own RNG.
 
-    The constructor derives separate initialization and mini-batch streams
-    from the seed, so two nets built from the same seed material are
-    bit-identical and train identically on identical data.  The net is
-    initialized in float64 and cast to ``TRAIN_DTYPE``.
+    ``observe`` appends, ``maybe_train`` trains one period on the whole
+    history when the schedule is due, and ``choose`` is greedy (under fresh
+    dropout masks when ``dropout_keep`` < 1); subclasses change only what
+    differs.  Separate initialization and mini-batch streams come from the
+    seed, so two nets built from the same seed material are bit-identical and
+    train identically on identical data.  The net is initialized in float64
+    and cast to ``TRAIN_DTYPE``.
     """
 
     def __init__(
@@ -76,6 +84,8 @@ class TrainableNet:
         self.schedule = schedule
         self.train_rng = np.random.default_rng(train_ss)
         self.period = 0
+        self.num_actions = num_actions
+        self.buffer = HistoryBuffer(dim, num_actions)
         # p_keep = 1 short-circuits to the plain forward pass so the agent is
         # draw-for-draw identical to one with dropout disabled.
         self.dropout_keep = None if dropout_keep == 1.0 else dropout_keep
@@ -117,18 +127,31 @@ class TrainableNet:
     def _step(self, grads, data_count, batch_index) -> None:
         self.opt.step(self.net.flat, grads, self.schedule.learning_rate(self.period, batch_index))
 
-    def train_if_due(self, step: int, buffer: HistoryBuffer) -> bool:
+    def train_if_due(self, step: int) -> bool:
         """Train one period on the whole history when ``step`` is due."""
-        if not self.schedule.due(step, len(buffer)):
+        if not self.schedule.due(step, len(self.buffer)):
             return False
-        self.train_period(buffer.contexts, buffer.actions, buffer.rewards)
+        self.train_period(self.buffer.contexts, self.buffer.actions, self.buffer.rewards)
         return True
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return mlp_predict(self.net, x)[0]
 
+    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
+        if self.dropout_keep is None:
+            return int(self.best_action(mlp_predict(self.net, context)[0]))
+        masks = make_dropout_masks(self.net, 1, self.dropout_keep, rng)
+        out, _ = mlp_forward(self.net, context, masks, self.dropout_keep)
+        return int(self.best_action(out[0]))
 
-class NeuralGreedyAgent(Agent):
+    def observe(self, obs: Observation) -> None:
+        self.buffer.append(obs)
+
+    def maybe_train(self, step: int) -> None:
+        self.train_if_due(step)
+
+
+class NeuralGreedyAgent(TrainableNet):
     """Greedy reward-net agent; the RMS training-policy presets live here.
 
     ``epsilon``/``epsilon_decay`` give the epsilon-greedy variant (decay is
@@ -153,12 +176,8 @@ class NeuralGreedyAgent(Agent):
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 < epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must lie in (0, 1]")
-        self.num_actions = num_actions
         (net_seed,) = _seed_sequence(seed).spawn(1)
-        self.core = TrainableNet(
-            dim, num_actions, schedule, net_seed, hidden, dropout_keep=dropout_keep
-        )
-        self.buffer = HistoryBuffer(dim, num_actions)
+        super().__init__(dim, num_actions, schedule, net_seed, hidden, dropout_keep=dropout_keep)
         self.epsilon = epsilon
         self.epsilon_decay = epsilon_decay
         self.name = name
@@ -168,18 +187,7 @@ class NeuralGreedyAgent(Agent):
         self.epsilon *= self.epsilon_decay
         if eps > 0.0 and rng.random() < eps:
             return int(rng.integers(self.num_actions))
-        net = self.core.net
-        if self.core.dropout_keep is not None:
-            masks = make_dropout_masks(net, 1, self.core.dropout_keep, rng)
-            out, _ = mlp_forward(net, context, masks, self.core.dropout_keep)
-            return int(self.best_action(out[0]))
-        return int(self.best_action(self.core.predict(context)))
-
-    def observe(self, obs: Observation) -> None:
-        self.buffer.append(obs)
-
-    def maybe_train(self, step: int) -> None:
-        self.core.train_if_due(step, self.buffer)
+        return super().choose(context, rng)
 
 
 class DropoutAgent(NeuralGreedyAgent):
@@ -203,10 +211,11 @@ class DropoutAgent(NeuralGreedyAgent):
 
 
 class BootstrapAgent(Agent):
-    """Ensemble of q reward nets over bootstrapped histories.
+    """Ensemble of q ``TrainableNet`` members over bootstrapped histories.
 
-    Each observation enters each member's training set independently with
-    probability p; at decision time one member is drawn uniformly and answers
+    Each observation enters each member's own history independently with
+    probability p, and each member trains on its history on the shared
+    schedule; at decision time one member is drawn uniformly and answers
     greedily.  With q = 1 and p = 1 the construction (seeding included) is
     identical to the greedy agent's single net.
     """
@@ -228,42 +237,30 @@ class BootstrapAgent(Agent):
         if not 0.0 < p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
         children = _seed_sequence(seed).spawn(q + 1)
-        self.nets = [
+        self.members = [
             TrainableNet(dim, num_actions, schedule, child, hidden)
             for child in children[:q]
         ]
         self._include_rng = np.random.default_rng(children[q])
-        self.buffer = HistoryBuffer(dim, num_actions)
-        self.members: list[list[int]] = [[] for _ in range(q)]
         self.q = q
         self.p = p
         self.name = name
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
         j = int(rng.integers(self.q)) if self.q > 1 else 0
-        return int(self.best_action(self.nets[j].predict(context)))
+        return int(self.best_action(self.members[j].predict(context)))
 
     def observe(self, obs: Observation) -> None:
-        i = self.buffer.append(obs)
         for member in self.members:
             if self.p >= 1.0 or self._include_rng.random() < self.p:
-                member.append(i)
+                member.observe(obs)
 
     def maybe_train(self, step: int) -> None:
-        if not self.nets[0].schedule.due(step, len(self.buffer)):
-            return
-        for net, member in zip(self.nets, self.members):
-            if not member:
-                continue
-            idx = np.asarray(member, dtype=np.int64)
-            net.train_period(
-                self.buffer.contexts[idx],
-                self.buffer.actions[idx],
-                self.buffer.rewards[idx],
-            )
+        for member in self.members:
+            member.maybe_train(step)
 
 
-class ParameterNoiseAgent(Agent):
+class ParameterNoiseAgent(TrainableNet):
     """Exploration through Gaussian parameter perturbations at decision time.
 
     The net uses layer normalization so a single noise scale is meaningful
@@ -294,11 +291,8 @@ class ParameterNoiseAgent(Agent):
         if horizon < 1:
             raise ValueError("horizon must be positive")
         net_ss, adapt_ss = _seed_sequence(seed).spawn(2)
-        self.core = TrainableNet(
-            dim, num_actions, schedule, net_ss, hidden, layer_norm=True
-        )
+        super().__init__(dim, num_actions, schedule, net_ss, hidden, layer_norm=True)
         self._adapt_rng = np.random.default_rng(adapt_ss)
-        self.buffer = HistoryBuffer(dim, num_actions)
         self.sigma = sigma_init
         self.target_eps = target_eps
         self.horizon = horizon
@@ -307,11 +301,11 @@ class ParameterNoiseAgent(Agent):
         self.name = name
 
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        noisy = perturb(self.core.net, self.sigma, rng)
+        noisy = perturb(self.net, self.sigma, rng)
         return int(self.best_action(mlp_predict(noisy, context)[0]))
 
     def observe(self, obs: Observation) -> None:
-        self.buffer.append(obs)
+        super().observe(obs)
         self.recent.append(obs.context)
         self.steps_seen += 1
 
@@ -322,8 +316,8 @@ class ParameterNoiseAgent(Agent):
         if not self.recent:
             return
         probe = np.stack(self.recent)
-        base = self.best_action(mlp_predict(self.core.net, probe))
-        noisy = perturb(self.core.net, self.sigma, self._adapt_rng)
+        base = self.best_action(mlp_predict(self.net, probe))
+        noisy = perturb(self.net, self.sigma, self._adapt_rng)
         shifted = self.best_action(mlp_predict(noisy, probe))
         mismatch = float(np.mean(base != shifted))
         if mismatch < self._target():
@@ -332,11 +326,11 @@ class ParameterNoiseAgent(Agent):
             self.sigma /= 1.01
 
     def maybe_train(self, step: int) -> None:
-        if self.core.train_if_due(step, self.buffer):
+        if self.train_if_due(step):
             self._adapt()
 
 
-class NeuralLinearAgent(Agent):
+class NeuralLinearAgent(TrainableNet):
     """Exact Bayesian linear regression on learned last-layer features.
 
     Between training periods the per-action Normal-Inverse-Gamma heads (one
@@ -365,9 +359,7 @@ class NeuralLinearAgent(Agent):
         name: str = "NeuralLinear",
     ):
         (net_seed,) = _seed_sequence(seed).spawn(1)
-        self.core = TrainableNet(dim, num_actions, schedule, net_seed, hidden)
-        self.buffer = HistoryBuffer(dim, num_actions)
-        self.num_actions = num_actions
+        super().__init__(dim, num_actions, schedule, net_seed, hidden)
         self.bias_feature = bias_feature
         self.feature_dim = hidden[-1] + (1 if bias_feature else 0)
         self._prior = (ridge, a0, b0)
@@ -379,7 +371,7 @@ class NeuralLinearAgent(Agent):
         return NIGLinearPosterior(self.feature_dim, *self._prior, arms=(self.num_actions,))
 
     def _featurize(self, X: np.ndarray) -> np.ndarray:
-        Z = hidden_features(self.core.net, X)
+        Z = hidden_features(self.net, X)
         if self.bias_feature:
             Z = np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)
         return Z
@@ -390,7 +382,7 @@ class NeuralLinearAgent(Agent):
         return int(self.best_action(self.heads.sample(rng)[0] @ phi))
 
     def observe(self, obs: Observation) -> None:
-        self.buffer.append(obs)
+        super().observe(obs)
         chosen, self._chosen = self._chosen, None
         if chosen and chosen[0] is obs.context:
             phi = chosen[1]
@@ -409,5 +401,5 @@ class NeuralLinearAgent(Agent):
         self._chosen = None  # phi(x) of the old net must not enter the new heads
 
     def maybe_train(self, step: int) -> None:
-        if self.core.train_if_due(step, self.buffer):
+        if self.train_if_due(step):
             self._refresh_heads()

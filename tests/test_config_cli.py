@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import re
 import time
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -18,12 +19,14 @@ from banditbench.bench import (
     format_summary_table,
     run_benchmark,
     sanitize_name,
+    setup_run,
 )
 from banditbench.cli import main
 from banditbench.config import ConfigError, key_schema, load_config, parse_config
 from banditbench.core import Environment
 from banditbench.envs import ENVIRONMENTS, ConstantFeatureEnv, dataset_load
 from banditbench.linear import LinearThompsonAgent
+from banditbench.presets import PRESETS
 
 GOOD = """\
 # tiny wheel benchmark
@@ -102,11 +105,15 @@ def test_parse_errors_carry_line_numbers():
     assert e.line == 4 and "duplicate [environment]" in str(e)
     e = err("[environment]\nname=wheel\ndelta=0.5\n[run]\n[run]\n")
     assert e.line == 5 and "duplicate [run]" in str(e)
-    for key, line in (("trials", 6), ("horizon", 7), ("workers", 6)):
-        text = "[environment]\nname=wheel\ndelta=0.5\n[run]\nseed=1\n"
-        text += "trials=2\n" * (key == "horizon") + f"{key}=0\nout=x\n"
-        e = err(text)
-        assert e.line == line and str(e) == f"line {line}: {key} must be positive"
+    for run, line, reason in (
+        ("seed=1\ntrials=0\nout=x", 6, "trials must be positive"),
+        ("seed=1\ntrials=2\nhorizon=0\nout=x", 7, "horizon must be positive"),
+        ("seed=1\nworkers=0\nout=x", 6, "workers must be positive"),
+        ("trials=2\nseed=-1\nout=x", 6, "seed must be >= 0"),
+        ("seed=1\ntrials=2\nout=\nworkers=1", 7, "out must not be empty"),
+    ):
+        e = err(f"[environment]\nname=wheel\ndelta=0.5\n[run]\n{run}\n")
+        assert e.line == line and str(e) == f"line {line}: {reason}"
 
 
 def test_parse_errors_without_lines():
@@ -573,6 +580,24 @@ def test_format_summary_table_rms_column():
     assert "wall/RMS" not in table
     assert table.splitlines()[0].startswith("agent")
     assert any(ln.startswith("LinGreedy") for ln in table.splitlines())
+
+
+PINNED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["wheel", "linear", "chains"])
+def test_the_pinned_digest_configs_set_up(name):
+    # the digests themselves are not pinned here: float32 results depend on the BLAS build
+    config = load_config(str(PINNED / f"pinned-{name}.cfg"))
+    setup_run(config)
+    run = config.run
+    assert (run.trials, run.horizon, run.seed, run.out) == (2, 300, 0, f"results/pinned-{name}")
+
+
+def test_the_pinned_wheel_config_runs_every_preset_but_bbb():
+    config = load_config(str(PINNED / "pinned-wheel.cfg"))
+    assert [spec.preset for spec in config.agents] == [name for name in PRESETS if name != "BBB"]
+    assert all(not spec.overrides for spec in config.agents)
 
 
 def test_cli_presets_and_validate(tmp_path, capsys):

@@ -24,6 +24,7 @@ from banditbench import (
     run_trial,
 )
 from banditbench import neural
+from banditbench.core import HistoryBuffer
 from banditbench.neural import TrainableNet
 
 SMALL = TrainingSchedule(train_every=10, batches_per_period=3, batch_size=8)
@@ -75,7 +76,7 @@ def test_training_fires_on_schedule_only():
     feed(agent, 1, 2, 2, seed=1)
     for step, periods in [(-10, 0), (0, 1), (3, 1), (10, 2), (11, 2), (20, 3)]:
         agent.maybe_train(step)
-        assert agent.core.period == periods
+        assert agent.period == periods
 
 
 def test_dropout_keep_one_matches_greedy_stream():
@@ -103,16 +104,63 @@ def test_bootstrap_single_member_matches_greedy_stream():
     assert a1 == a2
 
 
+class ReferenceBootstrap:
+    """The bootstrap written as one shared buffer and per-member row lists:
+    each net trains on its rows of the buffer, all on the first net's
+    schedule, and a member with no rows skips the period."""
+
+    def __init__(self, dim, k, schedule, seed, q, p, hidden):
+        children = np.random.SeedSequence(seed).spawn(q + 1)
+        self.nets = [TrainableNet(dim, k, schedule, child, hidden) for child in children[:q]]
+        self.include_rng = np.random.default_rng(children[q])
+        self.buffer = HistoryBuffer(dim, k)
+        self.rows = [[] for _ in range(q)]
+        self.q, self.p = q, p
+
+    def choose(self, context, rng):
+        j = int(rng.integers(self.q)) if self.q > 1 else 0
+        return int(np.argmax(self.nets[j].predict(context)))
+
+    def observe(self, obs):
+        i = self.buffer.append(obs)
+        for rows in self.rows:
+            if self.p >= 1.0 or self.include_rng.random() < self.p:
+                rows.append(i)
+
+    def maybe_train(self, step):
+        if not self.nets[0].schedule.due(step, len(self.buffer)):
+            return
+        for net, rows in zip(self.nets, self.rows):
+            if rows:
+                idx = np.asarray(rows, dtype=np.int64)
+                net.train_period(self.buffer.contexts[idx], self.buffer.actions[idx],
+                                 self.buffer.rewards[idx])
+
+
+def test_bootstrap_matches_the_shared_buffer_reference_bitwise():
+    # p = 0.5 gives each member its own rows; the wheel presets run p = 1
+    dim, k, q, p, hidden = 3, 4, 3, 0.5, (6,)
+    boot = BootstrapAgent(dim, k, SMALL, seed=17, q=q, p=p, hidden=hidden)
+    ref = ReferenceBootstrap(dim, k, SMALL, 17, q, p, hidden)
+    assert drive(boot, 60, dim, k, data_seed=8, rng_seed=9) == drive(ref, 60, dim, k, 8, 9)
+    assert len({len(member.buffer) for member in boot.members}) > 1
+    for member, net, rows in zip(boot.members, ref.nets, ref.rows, strict=True):
+        assert member.period == net.period >= 5  # a member may have no row at step 0
+        np.testing.assert_array_equal(member.buffer.contexts, ref.buffer.contexts[rows])
+        assert member.net.flat.dtype == net.net.flat.dtype == np.float32
+        np.testing.assert_array_equal(member.net.flat, net.net.flat)
+
+
 def test_bootstrap_inclusion_probability():
     boot = BootstrapAgent(2, 2, SMALL, seed=1, q=3, p=0.5, hidden=(4,))
     feed(boot, 400, 2, 2, seed=7)
-    sizes = [len(m) for m in boot.members]
+    sizes = [len(m.buffer) for m in boot.members]
     for size in sizes:
         assert abs(size - 200) < 3 * np.sqrt(400 * 0.25)
-    assert len({tuple(m) for m in boot.members}) == 3  # members differ
+    assert len({tuple(m.buffer.rewards) for m in boot.members}) == 3  # members differ
     full = BootstrapAgent(2, 2, SMALL, seed=1, q=2, p=1.0, hidden=(4,))
     feed(full, 50, 2, 2, seed=8)
-    assert all(len(m) == 50 for m in full.members)
+    assert all(len(m.buffer) == 50 for m in full.members)
     with pytest.raises(ValueError):
         BootstrapAgent(2, 2, SMALL, seed=1, q=0)
     with pytest.raises(ValueError):
@@ -133,7 +181,7 @@ def test_param_noise_uses_layer_norm_and_adapts_both_ways():
     agent = ParameterNoiseAgent(
         2, 3, SMALL, seed=3, horizon=1000, sigma_init=0.01, target_eps=0.5, hidden=(6,)
     )
-    assert agent.core.net.layer_norm
+    assert agent.net.layer_norm
     feed(agent, 40, 2, 3, seed=10)
     assert agent._target() == pytest.approx(0.5 * (1 - 40 / 1000))
     agent.sigma = 1e-12
@@ -197,9 +245,9 @@ def test_neural_linear_featurizes_each_step_once(monkeypatch):
     run_trial(env, agent, seed=0)
     # one single-row pass per step (choose's on a decision, observe's in the
     # warm-up) and one pass over the history per refit
-    assert agent.core.period > 0
+    assert agent.period > 0
     assert calls.count(1) == horizon
-    assert calls.count(2) == agent.core.period
+    assert calls.count(2) == agent.period
 
 
 def test_neural_linear_reuses_phi_only_for_the_chosen_context_and_net():
@@ -262,7 +310,7 @@ _HELD_AS = {"lambda": "ridge", "lr": "lr_init", "p_keep": "dropout_keep",
 
 def held_value(agent, key):
     """The value of a preset key as the built agent holds it."""
-    trainer = agent.nets[0] if isinstance(agent, BootstrapAgent) else getattr(agent, "core", agent)
+    trainer = agent.members[0] if isinstance(agent, BootstrapAgent) else agent
     holders = [agent, trainer, getattr(trainer, "schedule", None)]
     holders += [getattr(agent, part, None) for part in ("posterior", "heads", "cfg", "ema")]
     name = _HELD_AS.get(key, key)
@@ -292,15 +340,15 @@ def test_every_declared_key_builds(name, key):
 
 def test_rms_preset_schedules():
     rms1 = get_preset("RMS1").make(2, 2, 50, 0)
-    assert rms1.core.schedule.reset_policy == "fixed"
-    assert rms1.core.schedule.lr_init == 0.01
+    assert rms1.schedule.reset_policy == "fixed"
+    assert rms1.schedule.lr_init == 0.01
     rms2 = get_preset("RMS2").make(2, 2, 50, 0)
-    assert rms2.core.schedule.reset_policy == "reset-each-period"
-    assert rms2.core.schedule.lr_decay == 0.55
+    assert rms2.schedule.reset_policy == "reset-each-period"
+    assert rms2.schedule.lr_decay == 0.55
     rms = get_preset("RMS").make(2, 2, 50, 0)
-    assert rms.core.schedule.reset_policy == "decay-across-periods"
-    assert rms.core.schedule.lr_init == 1.0
-    assert rms.core.schedule.batches_per_period == 100
+    assert rms.schedule.reset_policy == "decay-across-periods"
+    assert rms.schedule.lr_init == 1.0
+    assert rms.schedule.batches_per_period == 100
     eps = get_preset("EpsGreedyRMS").make(2, 2, 50, 0)
     assert eps.epsilon == 0.01 and eps.epsilon_decay == 0.999
 
@@ -328,7 +376,7 @@ def test_every_trainable_preset_trains_in_float32(name, monkeypatch):
     if name == "BBB":
         overrides["ramp_initial"] = 2
     agent = get_preset(name).make(3, 2, 50, 0, overrides)
-    nets = agent.nets if isinstance(agent, BootstrapAgent) else [getattr(agent, "core", agent)]
+    nets = agent.members if isinstance(agent, BootstrapAgent) else [agent]
     grads = []
     for net in nets:
         def recorded(*args, inner=net._loss_and_grads):
@@ -355,7 +403,7 @@ def test_every_trainable_preset_trains_in_float32(name, monkeypatch):
 
 def test_non_finite_scores_raise_naming_the_agent():
     agent = get_preset("RMS").make(3, 2, 50, 0)
-    agent.core.net.biases[-1][1] = np.nan
+    agent.net.biases[-1][1] = np.nan
     with pytest.raises(ContractViolation, match=r"^agent 'RMS' produced non-finite scores"):
         agent.choose(np.ones(3), np.random.default_rng(0))
     env = SampledLinearBandit(LinearConfig(dim=3, num_actions=2, horizon=10), seed=0)
@@ -364,6 +412,6 @@ def test_non_finite_scores_raise_naming_the_agent():
 
     noisy = ParameterNoiseAgent(3, 2, SMALL, seed=0, horizon=50, hidden=(6,))
     feed(noisy, 5, 3, 2, seed=2)
-    noisy.core.net.biases[-1][0] = np.inf
+    noisy.net.biases[-1][0] = np.inf
     with pytest.raises(ContractViolation, match=r"^agent 'ParamNoise'"):
         noisy._adapt()

@@ -573,8 +573,7 @@ def test_training_matches_the_reference_loops_bitwise(kind):
         schedule = TrainingSchedule(10, 3, bs, lr_init=0.01, lr_decay=0.55,
                                     reset_policy="reset-each-period")
         agent = DropoutAgent(dim, k, schedule, seed, p_keep=0.7, hidden=(8, 6))
-        ref = ReferenceDropout(agent.core.net, seed, schedule, 0.7)
-    trainer = getattr(agent, "core", agent)
+        ref = ReferenceDropout(agent.net, seed, schedule, 0.7)
     obs = make_observations(60, dim, k, seed=12)
     for period in range(6):
         for o in obs[10 * period: 10 * (period + 1)]:
@@ -582,8 +581,8 @@ def test_training_matches_the_reference_loops_bitwise(kind):
         agent.maybe_train(10 * period)
         buf = agent.buffer
         want = ref.train(buf.contexts, buf.actions, buf.rewards)
-        got = trainer.net.split(trainer.net.flat)
+        got = agent.net.split(agent.net.flat)
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype == np.float32
             np.testing.assert_array_equal(g, w)
-    assert trainer.period == 6
+    assert agent.period == 6
