@@ -1,7 +1,7 @@
 """Core contracts and the decision-loop harness for contextual bandits.
 
-The pieces here are deliberately small: an ``Agent`` sees a context, picks an
-action, observes a reward, and occasionally trains; an ``Environment`` is two
+The pieces here are deliberately small: an ``Agent`` acts on one draw of its
+scores, observes a reward, and occasionally trains; an ``Environment`` is two
 arrays, the contexts (n, d) and every action's expected reward (n, k), plus
 the reward noise its subclass draws in ``realize_reward``.  ``run_trial``
 wires the two together with a round-robin warmup, and ``run_experiment``
@@ -41,8 +41,7 @@ class HistoryBuffer:
     """Append-only store of observations with cheap array views.
 
     Contexts are packed into a growing 2-D array so training code can slice
-    mini-batches by fancy indexing without per-step copies.  Per-action index
-    lists support posterior refits that need one action's rows.
+    mini-batches by fancy indexing without per-step copies.
     """
 
     def __init__(self, dim: int, num_actions: int):
@@ -54,7 +53,6 @@ class HistoryBuffer:
         self._contexts = np.empty((64, dim), dtype=np.float64)
         self._actions = np.empty(64, dtype=np.int64)
         self._rewards = np.empty(64, dtype=np.float64)
-        self._by_action: list[list[int]] = [[] for _ in range(num_actions)]
 
     def __len__(self) -> int:
         return self._size
@@ -77,7 +75,6 @@ class HistoryBuffer:
         self._contexts[i] = obs.context
         self._actions[i] = obs.action
         self._rewards[i] = obs.reward
-        self._by_action[obs.action].append(i)
         self._size += 1
         return i
 
@@ -93,18 +90,27 @@ class HistoryBuffer:
     def rewards(self) -> np.ndarray:
         return self._rewards[: self._size]
 
-    def action_indices(self, action: int) -> np.ndarray:
-        return np.asarray(self._by_action[action], dtype=np.int64)
-
 
 class Agent(abc.ABC):
-    """Decision-maker contract: choose, observe, optionally train."""
+    """Decision-maker contract: choose, observe, optionally train.  ``choose`` is
+    greedy on ``sample_scores``, or uniform with a decaying chance ``epsilon``."""
 
     name: str = "agent"
+    epsilon: float = 0.0
+    epsilon_decay: float = 1.0
 
-    @abc.abstractmethod
     def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
         """Return an action index in [0, num_actions)."""
+        if self.epsilon > 0.0:
+            eps = self.epsilon
+            self.epsilon *= self.epsilon_decay
+            if rng.random() < eps:
+                return int(rng.integers(self.num_actions))
+        return int(self.best_action(self.sample_scores(context, rng)))
+
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One posterior draw of every action's score at one context, (k,)."""
+        raise NotImplementedError(f"{type(self).__name__} draws no scores")
 
     @abc.abstractmethod
     def observe(self, obs: Observation) -> None:

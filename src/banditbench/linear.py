@@ -26,9 +26,9 @@ after a refactor.
 A Thompson decision needs only each arm's score x'beta at the context x.
 Given sigma^2 that score is N(x'mu, sigma^2 x'C x), independently across
 arms, so ``sample(rng, approximation, at=x)`` draws k scores from k normals
-instead of k coefficient vectors from k*d; ``LinearThompsonAgent`` decides
-this way.  ``at`` is one row: the scores of several rows under one draw of
-beta are correlated, and drawing them needs beta.
+instead of k coefficient vectors from k*d, as ``LinearThompsonAgent`` does.
+``at`` is one row: the scores of several rows under one draw of beta are
+correlated, and drawing them needs beta.
 """
 
 from __future__ import annotations
@@ -310,9 +310,10 @@ class LinearThompsonAgent(Agent):
         self.approximation = approximation
         self.name = name
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        scores, _ = self.posterior.sample(rng, self.approximation, at=context)
-        return int(self.best_action(scores))
+    choose = Agent.choose  # perfbench's tracer patches it here; see ROADMAP item 4
+
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.posterior.sample(rng, self.approximation, at=context)[0]
 
     def observe(self, obs: Observation) -> None:
         self.posterior.update(obs.context, obs.reward, obs.action)
@@ -337,10 +338,10 @@ class LinearGreedyAgent(Agent):
         self.epsilon = epsilon
         self.name = name
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        if self.epsilon > 0.0 and rng.random() < self.epsilon:
-            return int(rng.integers(self.num_actions))
-        return int(self.best_action(self.posterior.mean @ context))
+    choose = Agent.choose  # perfbench's tracer patches it here; see ROADMAP item 4
+
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.posterior.mean @ context
 
     def observe(self, obs: Observation) -> None:
         self.posterior.update(obs.context, obs.reward, obs.action)

@@ -6,7 +6,7 @@ action with a masked MSE loss on mini-batches drawn uniformly with
 replacement from its whole history, firing a training period of
 ``batches_per_period`` batches every ``train_every`` decision steps.  Every
 trained agent subclasses it (the ``samplers`` agents too), and they differ in
-where decision-time randomness comes from:
+where the randomness of their ``sample_scores`` comes from:
 
 * ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks).
 * ``ParameterNoiseAgent``: Gaussian noise added to every parameter.
@@ -58,12 +58,12 @@ class TrainableNet(Agent):
     state, its history ``buffer`` and a training schedule with its own RNG.
 
     ``observe`` appends, ``maybe_train`` trains one period on the whole
-    history when the schedule is due, and ``choose`` is greedy (under fresh
-    dropout masks when ``dropout_keep`` < 1); subclasses change only what
-    differs.  Separate initialization and mini-batch streams come from the
-    seed, so two nets built from the same seed material are bit-identical and
-    train identically on identical data.  The net is initialized in float64
-    and cast to ``TRAIN_DTYPE``.
+    history when the schedule is due, and ``sample_scores`` is the net's
+    forward pass (under fresh dropout masks when ``dropout_keep`` < 1);
+    subclasses change only what differs.  Separate initialization and
+    mini-batch streams come from the seed, so two nets built from the same
+    seed material are bit-identical and train identically on identical data.
+    The net is initialized in float64 and cast to ``TRAIN_DTYPE``.
     """
 
     def __init__(
@@ -134,15 +134,11 @@ class TrainableNet(Agent):
         self.train_period(self.buffer.contexts, self.buffer.actions, self.buffer.rewards)
         return True
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return mlp_predict(self.net, x)[0]
-
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.dropout_keep is None:
-            return int(self.best_action(mlp_predict(self.net, context)[0]))
+            return mlp_predict(self.net, context)[0]
         masks = make_dropout_masks(self.net, 1, self.dropout_keep, rng)
-        out, _ = mlp_forward(self.net, context, masks, self.dropout_keep)
-        return int(self.best_action(out[0]))
+        return mlp_forward(self.net, context, masks, self.dropout_keep)[0][0]
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
@@ -155,7 +151,7 @@ class NeuralGreedyAgent(TrainableNet):
     """Greedy reward-net agent; the RMS training-policy presets live here.
 
     ``epsilon``/``epsilon_decay`` give the epsilon-greedy variant (decay is
-    applied once per choose call); ``dropout_keep`` < 1 gives the dropout
+    applied once per ``choose`` call); ``dropout_keep`` < 1 gives the dropout
     variant, with fresh masks at both train and decision time.
     """
 
@@ -181,13 +177,6 @@ class NeuralGreedyAgent(TrainableNet):
         self.epsilon = epsilon
         self.epsilon_decay = epsilon_decay
         self.name = name
-
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        eps = self.epsilon
-        self.epsilon *= self.epsilon_decay
-        if eps > 0.0 and rng.random() < eps:
-            return int(rng.integers(self.num_actions))
-        return super().choose(context, rng)
 
 
 class DropoutAgent(NeuralGreedyAgent):
@@ -215,8 +204,8 @@ class BootstrapAgent(Agent):
 
     Each observation enters each member's own history independently with
     probability p, and each member trains on its history on the shared
-    schedule; at decision time one member is drawn uniformly and answers
-    greedily.  With q = 1 and p = 1 the construction (seeding included) is
+    schedule; at decision time one member is drawn uniformly and its scores
+    answer.  With q = 1 and p = 1 the construction (seeding included) is
     identical to the greedy agent's single net.
     """
 
@@ -242,15 +231,19 @@ class BootstrapAgent(Agent):
             for child in children[:q]
         ]
         self._include_rng = np.random.default_rng(children[q])
+        self.num_actions = num_actions
         self.q = q
         self.p = p
         self.name = name
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         j = int(rng.integers(self.q)) if self.q > 1 else 0
-        return int(self.best_action(self.members[j].predict(context)))
+        return self.members[j].sample_scores(context, rng)
 
     def observe(self, obs: Observation) -> None:
+        # checked here, as a row no member includes never reaches a buffer
+        if not 0 <= obs.action < self.num_actions:
+            raise ValueError(f"action {obs.action} out of range")
         for member in self.members:
             if self.p >= 1.0 or self._include_rng.random() < self.p:
                 member.observe(obs)
@@ -300,9 +293,8 @@ class ParameterNoiseAgent(TrainableNet):
         self.recent: deque[np.ndarray] = deque(maxlen=self.PROBE_WINDOW)
         self.name = name
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
-        noisy = perturb(self.net, self.sigma, rng)
-        return int(self.best_action(mlp_predict(noisy, context)[0]))
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return mlp_predict(perturb(self.net, self.sigma, rng), context)[0]
 
     def observe(self, obs: Observation) -> None:
         super().observe(obs)
@@ -339,10 +331,12 @@ class NeuralLinearAgent(TrainableNet):
     freshly recomputed features for the whole history, so they never mix
     features from different network epochs.
 
-    A decision featurizes its context once: ``choose`` keeps phi(x) and the
-    ``observe`` of that context uses it.  Warm-up steps, which have no
-    ``choose``, featurize in ``observe``.
+    A decision featurizes its context once: ``sample_scores`` keeps phi(x)
+    and the ``observe`` of that context uses it.  Warm-up steps, which have
+    no decision, featurize in ``observe``.
     """
+
+    choose = Agent.choose  # perfbench's tracer patches it here; see ROADMAP item 4
 
     def __init__(
         self,
@@ -376,10 +370,10 @@ class NeuralLinearAgent(TrainableNet):
             Z = np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)
         return Z
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         phi = self._featurize(context)[0]
         self._chosen = (context, phi)
-        return int(self.best_action(self.heads.sample(rng)[0] @ phi))
+        return self.heads.sample(rng)[0] @ phi
 
     def observe(self, obs: Observation) -> None:
         super().observe(obs)
@@ -392,10 +386,10 @@ class NeuralLinearAgent(TrainableNet):
 
     def _refresh_heads(self) -> None:
         Z = self._featurize(self.buffer.contexts)
-        rewards = self.buffer.rewards
+        actions, rewards = self.buffer.actions, self.buffer.rewards
         heads = self._prior_heads()
         for a in range(self.num_actions):
-            idx = self.buffer.action_indices(a)
+            idx = np.flatnonzero(actions == a)
             heads.batch_update(Z[idx], rewards[idx], a)
         self.heads = heads
         self._chosen = None  # phi(x) of the old net must not enter the new heads

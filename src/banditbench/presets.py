@@ -150,7 +150,7 @@ _ALL = [
          NeuralGreedyAgent, "rms3", **_GREEDY),
     _net("RMS", "greedy net, decay 0.55 from 1.0, 100 batches per period",
          NeuralGreedyAgent, "rms3", **_GREEDY, batches_per_period=100),
-    _net("EpsGreedyRMS", "greedy net with epsilon=0.01 decaying 0.999 per context",
+    _net("EpsGreedyRMS", "greedy net with epsilon=0.01 decaying 0.999 per decision",
          NeuralGreedyAgent, "rms3", epsilon=0.01, epsilon_decay=0.999),
     _net("Dropout", "dropout exploration, keep probability 0.8", DropoutAgent, "rms2",
          p_keep=0.8),

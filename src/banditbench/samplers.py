@@ -9,7 +9,7 @@ stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
 every weight and draws a fresh network at decision time.  All three are a
 ``neural.TrainableNet``, as the reward nets are, so they keep its history,
 schedule and training loop and train in its float32; they override only the
-batch gradients, the update, and (BBB) the batch count and ``choose``.  The
+batch gradients, the update, and (BBB) the batch count and scores.  The
 functions here work on whole vectors laid out as a net's ``flat`` (Fisher
 diagonal, chain steps, BBB's noise and gradient), check that each has the
 parameters' shape, and compute and draw noise in their dtype.
@@ -410,6 +410,6 @@ class BayesByBackpropAgent(TrainableNet):
         )
         return loss, grads
 
-    def choose(self, context: np.ndarray, rng: np.random.Generator) -> int:
+    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         sampled, _ = self.net.sample(rng)
-        return int(self.best_action(mlp_predict(sampled, context)[0]))
+        return mlp_predict(sampled, context)[0]

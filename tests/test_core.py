@@ -90,8 +90,6 @@ def test_history_buffer_append_views_and_growth():
     assert buf.contexts.shape == (200, 2)
     np.testing.assert_array_equal(buf.rewards, np.arange(200.0))
     np.testing.assert_array_equal(buf.actions, np.arange(200) % 3)
-    idx1 = buf.action_indices(1)
-    np.testing.assert_array_equal(idx1, np.arange(1, 200, 3))
     np.testing.assert_allclose(buf.contexts[5], rows[5][0])
 
 

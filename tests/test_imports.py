@@ -1,5 +1,6 @@
 """Every module under src/ and tests/ uses each name it imports, and every
-top-level definition under src/ is read somewhere in src/, tests/ or perfbench/.
+top-level definition under src/, and every member of a class there, is read
+somewhere in src/, tests/ or perfbench/.
 
 An import kept on purpose for a name the module never reads carries
 ``# noqa: F401`` on its line, as flake8 spells it.
@@ -51,15 +52,23 @@ def test_the_scan_sees_a_dead_import_and_honours_noqa():
 
 
 def definitions(source: str) -> list[str]:
-    """The functions, classes and constants a module defines at top level,
-    dunder names such as ``__all__`` aside."""
+    """The functions, classes and constants a module defines at top level, and
+    the methods, properties and attributes its classes define, dunder names
+    such as ``__all__`` aside."""
     names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    def collect(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    collect(node.body)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.extend(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+
+    collect(ast.parse(source).body)
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
@@ -90,7 +99,9 @@ def test_every_top_level_definition_is_read(path, read_anywhere):
 def test_the_scan_sees_an_unread_definition():
     source = (
         "import os\n__all__ = ['A']\nA, B = 1, 2\nC: int = 3\nD = 4\n"
-        "def f():\n    return A + os.sep\nclass K:\n    pass\n"
+        "def f():\n    return A + os.sep\nclass K:\n    x: int = 1\n"
+        "    def __init__(self):\n        self.y = self.x\n"
+        "    def used(self):\n        pass\n    def unused(self):\n        pass\n"
     )
-    read = read_names(source) | read_names("from m import C\nimport m\nm.K\n")
-    assert [n for n in definitions(source) if n not in read] == ["B", "D", "f"]
+    read = read_names(source) | read_names("from m import C\nimport m\nm.K().used()\n")
+    assert [n for n in definitions(source) if n not in read] == ["B", "D", "f", "unused"]

@@ -452,11 +452,15 @@ def test_point_mass_thompson_equals_greedy_choices():
 
 
 def test_epsilon_one_explores_uniformly():
-    agent = LinearGreedyAgent(1, 5, epsilon=1.0)
-    rng = np.random.default_rng(2)
-    draws = np.array([agent.choose(np.ones(1), rng) for _ in range(5000)])
-    freq = np.bincount(draws, minlength=5) / 5000
-    assert np.all(np.abs(freq - 0.2) < 3 * np.sqrt(0.2 * 0.8 / 5000))
+    # both epsilon users, the linear and the neural greedy agent, decide
+    # through Agent.choose
+    eps_rms = get_preset("EpsGreedyRMS").make(1, 5, 5000, 0,
+                                               {"epsilon": 1.0, "epsilon_decay": 1.0})
+    for agent in (LinearGreedyAgent(1, 5, epsilon=1.0), eps_rms):
+        rng = np.random.default_rng(2)
+        draws = np.array([agent.choose(np.ones(1), rng) for _ in range(5000)])
+        freq = np.bincount(draws, minlength=5) / 5000
+        assert np.all(np.abs(freq - 0.2) < 3 * np.sqrt(0.2 * 0.8 / 5000)), agent.name
 
 
 def test_agent_constructor_validation():

@@ -25,6 +25,7 @@ from banditbench import (
 )
 from banditbench import neural
 from banditbench.core import HistoryBuffer
+from banditbench.mlp import mlp_predict
 from banditbench.neural import TrainableNet
 
 SMALL = TrainingSchedule(train_every=10, batches_per_period=3, batch_size=8)
@@ -119,7 +120,7 @@ class ReferenceBootstrap:
 
     def choose(self, context, rng):
         j = int(rng.integers(self.q)) if self.q > 1 else 0
-        return int(np.argmax(self.nets[j].predict(context)))
+        return int(np.argmax(mlp_predict(self.nets[j].net, context)[0]))
 
     def observe(self, obs):
         i = self.buffer.append(obs)
@@ -149,6 +150,16 @@ def test_bootstrap_matches_the_shared_buffer_reference_bitwise():
         np.testing.assert_array_equal(member.buffer.contexts, ref.buffer.contexts[rows])
         assert member.net.flat.dtype == net.net.flat.dtype == np.float32
         np.testing.assert_array_equal(member.net.flat, net.net.flat)
+
+
+def test_bootstrap_rejects_an_out_of_range_action_before_any_draw():
+    # with p = 0.05 most rows enter no member, so no member's buffer sees them
+    boot = BootstrapAgent(2, 3, SMALL, seed=0, q=2, p=0.05, hidden=(4,))
+    state = boot._include_rng.bit_generator.state
+    for _ in range(50):
+        with pytest.raises(ValueError, match="action 7 out of range"):
+            boot.observe(Observation(context=np.zeros(2), action=7, reward=0.0))
+    assert boot._include_rng.bit_generator.state == state
 
 
 def test_bootstrap_inclusion_probability():
@@ -226,8 +237,8 @@ def test_neural_linear_refresh_rebuilds_heads_from_new_features():
     agent.maybe_train(0)
     assert agent.heads is not old_heads
     assert agent.heads.count.tolist() == [
-        len(agent.buffer.action_indices(0)),
-        len(agent.buffer.action_indices(1)),
+        np.count_nonzero(agent.buffer.actions == 0),
+        np.count_nonzero(agent.buffer.actions == 1),
     ]
     assert any(not np.allclose(m, h) for m, h in zip(old_means, agent.heads.mean))
     a = agent.choose(np.ones(3), np.random.default_rng(0))
@@ -290,6 +301,24 @@ def test_every_preset_builds_an_agent():
         agent = get_preset(name).make(dim=3, num_actions=2, horizon=50, seed=0)
         assert agent.name == name
         assert agent.choose(np.zeros(3), np.random.default_rng(0)) in (0, 1)
+
+
+@pytest.mark.parametrize("name", [name for name in PRESETS if name != "Uniform"])
+def test_choose_is_the_argmax_of_one_draw_of_sample_scores(name):
+    horizon = 60
+    env = ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95, horizon=horizon), 0))
+    preset = get_preset(name)
+    # small batches and no long BBB ramp keep the trial short
+    small = {k: v for k, v in {"batch_size": 16, "ramp_initial": 20}.items()
+             if k in preset.params}
+    agent = preset.make(env.dim, env.num_actions, horizon, 0, small)
+    run_trial(env, agent, seed=0)
+    agent.epsilon = 0.0
+    x = env.context_at(horizon - 1)
+    for s in range(5):
+        scores = agent.sample_scores(x, np.random.default_rng(s))
+        assert scores.shape == (env.num_actions,)
+        assert agent.choose(x, np.random.default_rng(s)) == int(np.argmax(scores))
 
 
 def test_preset_overrides_apply_and_unknowns_rejected():
