@@ -3,7 +3,9 @@
 Everything the neural agents need lives here: a feedforward net with ReLU
 hidden layers and a linear head, optional layer normalization of the hidden
 pre-activations, inverted dropout, the masked mean-squared-error loss used to
-fit per-action reward heads, RMSProp, and the mini-batch training schedule.
+fit per-action reward heads, RMSProp, and the mini-batch training schedule:
+``TrainingSchedule`` alone says when a period fires, how many batches it
+runs (BBB's long early ramp included) and at what learning rate.
 Gradients are computed manually so they can be checked against finite
 differences and reused by the reparameterized variational nets.
 
@@ -28,7 +30,7 @@ LAYER_NORM_EPS = 1e-5
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-RESET_POLICIES = ("fixed", "reset-each-period", "decay-across-periods")
+RESET_POLICIES = ("reset-each-period", "decay-across-periods")
 
 
 def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -266,13 +268,17 @@ class RMSProp:
 
 @dataclass(frozen=True)
 class TrainingSchedule:
-    """When and how hard to train: a period of ``batches_per_period``
+    """When and how hard to train: a period of ``batches(period)``
     mini-batches fires every ``train_every`` decision steps.
 
-    ``reset_policy`` controls the inverse-time learning-rate law
-    lr_init / (1 + lr_decay * i): "fixed" ignores it, "decay-across-periods"
-    indexes i by the global period counter, and "reset-each-period" indexes i
-    by the mini-batch position inside the period, starting over each period.
+    A period runs ``batches_per_period`` batches, unless ``ramp_initial`` is
+    set: then period 0 runs ``ramp_initial`` and the count falls linearly to
+    ``batches_per_period`` over ``ramp_periods`` periods (BBB's ramp).
+
+    ``reset_policy`` indexes i in the inverse-time learning-rate law
+    lr_init / (1 + lr_decay * i): "decay-across-periods" by the global period
+    counter, "reset-each-period" by the mini-batch position inside the period,
+    starting over each period.  ``lr_decay = 0`` is a fixed rate under either.
     """
 
     train_every: int = 20
@@ -280,7 +286,9 @@ class TrainingSchedule:
     batch_size: int = 512
     lr_init: float = 0.01
     lr_decay: float = 0.0
-    reset_policy: str = "fixed"
+    reset_policy: str = "decay-across-periods"
+    ramp_initial: Optional[int] = None
+    ramp_periods: int = 100
 
     def __post_init__(self):
         for key in ("train_every", "batches_per_period", "batch_size", "lr_init"):
@@ -290,14 +298,23 @@ class TrainingSchedule:
             raise ValueError(f"lr_decay must be >= 0, got {self.lr_decay!r}")
         if self.reset_policy not in RESET_POLICIES:
             raise ValueError(f"reset_policy must be one of {RESET_POLICIES}")
+        if self.ramp_periods < 0:
+            raise ValueError(f"ramp_periods must be >= 0, got {self.ramp_periods!r}")
+        if self.ramp_initial is not None and self.ramp_initial < 1:
+            raise ValueError(f"ramp_initial must be >= 1, got {self.ramp_initial!r}")
 
     def due(self, step: int, buffer_len: int) -> bool:
         """True when the post-warmup step counter lands on a training period."""
         return step >= 0 and step % self.train_every == 0 and buffer_len > 0
 
+    def batches(self, period: int) -> int:
+        """How many mini-batches period ``period`` (counted from 0) runs."""
+        final = self.batches_per_period
+        if self.ramp_initial is None or period >= self.ramp_periods:
+            return final
+        ramped = self.ramp_initial - period * (self.ramp_initial - final) / self.ramp_periods
+        return max(final, round(ramped))
+
     def learning_rate(self, period: int, batch_index: int) -> float:
-        if self.reset_policy == "fixed":
-            return self.lr_init
-        if self.reset_policy == "reset-each-period":
-            return self.lr_init / (1.0 + self.lr_decay * batch_index)
-        return self.lr_init / (1.0 + self.lr_decay * period)
+        i = batch_index if self.reset_policy == "reset-each-period" else period
+        return self.lr_init / (1.0 + self.lr_decay * i)

@@ -3,10 +3,11 @@
 ``TrainableNet`` is the one owner of a net: an agent with its net, its
 history buffer and its training schedule, which fits one reward head per
 action with a masked MSE loss on mini-batches drawn uniformly with
-replacement from its whole history, firing a training period of
-``batches_per_period`` batches every ``train_every`` decision steps.  Every
-trained agent subclasses it (the ``samplers`` agents too), and they differ in
-where the randomness of their ``sample_scores`` comes from:
+replacement from its whole history, firing a training period every
+``train_every`` decision steps; the schedule alone says how many batches each
+period runs.  Every trained agent subclasses it (the ``samplers`` agents too)
+and takes a ``TrainingSchedule``, and they differ in where the randomness of
+their ``sample_scores`` comes from:
 
 * ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks).
 * ``ParameterNoiseAgent``: Gaussian noise added to every parameter.
@@ -55,7 +56,8 @@ TRAIN_DTYPE = np.float32
 
 class TrainableNet(Agent):
     """The one owner of a reward net: an agent holding an MLP, its RMSProp
-    state, its history ``buffer`` and a training schedule with its own RNG.
+    state, its history ``buffer`` and a training schedule with its own RNG;
+    ``batches_run`` counts the mini-batches it has trained.
 
     ``observe`` appends, ``maybe_train`` trains one period on the whole
     history when the schedule is due, and ``sample_scores`` is the net's
@@ -84,6 +86,7 @@ class TrainableNet(Agent):
         self.schedule = schedule
         self.train_rng = np.random.default_rng(train_ss)
         self.period = 0
+        self.batches_run = 0
         self.num_actions = num_actions
         self.buffer = HistoryBuffer(dim, num_actions)
         # p_keep = 1 short-circuits to the plain forward pass so the agent is
@@ -98,9 +101,6 @@ class TrainableNet(Agent):
         # built on first use, so a subclass with its own update holds none
         return RMSProp(self.net.flat)
 
-    def batches_this_period(self) -> int:
-        return self.schedule.batches_per_period
-
     def train_period(
         self, contexts: np.ndarray, actions: np.ndarray, rewards: np.ndarray
     ) -> float:
@@ -109,10 +109,11 @@ class TrainableNet(Agent):
         if n == 0:
             raise ValueError("cannot train on an empty history")
         loss = 0.0
-        for j in range(self.batches_this_period()):
+        for j in range(self.schedule.batches(self.period)):
             idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
             loss, grads = self._loss_and_grads(contexts[idx], actions[idx], rewards[idx], n)
             self._step(grads, n, j)
+            self.batches_run += 1
         self.period += 1
         return loss
 
@@ -355,7 +356,8 @@ class NeuralLinearAgent(TrainableNet):
         (net_seed,) = _seed_sequence(seed).spawn(1)
         super().__init__(dim, num_actions, schedule, net_seed, hidden)
         self.bias_feature = bias_feature
-        self.feature_dim = hidden[-1] + (1 if bias_feature else 0)
+        # with no hidden layer the features are the context itself
+        self.feature_dim = (hidden[-1] if hidden else dim) + (1 if bias_feature else 0)
         self._prior = (ridge, a0, b0)
         self.heads = self._prior_heads()
         self._chosen: Optional[tuple[np.ndarray, np.ndarray]] = None  # (x, phi(x))

@@ -5,8 +5,10 @@ and ``defaults``: every key the preset accepts, with its default value.  A
 key's type is the type of its default, which is what config validation checks
 (``Preset.params``).  ``Preset.make`` lays a block's overrides over the
 defaults and hands the builder all of them as keywords, so every declared key
-reaches the agent.  A handful of builders serve the whole catalog, and the
-paper's RMS1-RMS3 training schedules are data: a reset policy and the
+reaches the agent.  A handful of builders serve the whole catalog.  One of
+them, ``_net``, builds every trained preset: the preset's keys that are
+``TrainingSchedule`` fields make its schedule, and the agent gets the rest.
+The paper's RMS1-RMS3 training schedules are data: a reset policy and the
 defaults of ``lr_init`` and ``lr_decay``.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping
 
 from .core import Agent, UniformAgent
@@ -82,37 +84,31 @@ def _linear(name: str, summary: str, agent, approximation: str | None = None,
 
 
 _CADENCE = {"train_every": 20, "batches_per_period": 20, "batch_size": 512}
+_SCHEDULE_KEYS = frozenset(f.name for f in fields(TrainingSchedule))
 
 # The paper's RMS schedules: the reset policy of the learning-rate law
 # lr_init / (1 + lr_decay * i) and that law's defaults.
 _RMS = {
-    "rms1": ("fixed", {"lr_init": 0.01, "lr_decay": 0.0}),
+    "rms1": ("decay-across-periods", {"lr_init": 0.01, "lr_decay": 0.0}),
     "rms2": ("reset-each-period", {"lr_init": 0.01, "lr_decay": 0.55}),
     "rms3": ("decay-across-periods", {"lr_init": 1.0, "lr_decay": 0.55}),
 }
 
 
-def _net(name: str, summary: str, agent, rms: str, *, takes_horizon: bool = False,
-         **defaults) -> Preset:
-    """A net trained on an RMS schedule, which the builder makes from the
-    schedule's keys before handing the agent the rest."""
-    reset_policy, law = _RMS[rms]
+def _net(name: str, summary: str, agent, rms: str | None = None, *,
+         takes_horizon: bool = False, **defaults) -> Preset:
+    """A trained agent: the builder makes its schedule from the preset's keys
+    that are ``TrainingSchedule`` fields, under the RMS law when the preset
+    names one, and hands the agent the rest."""
+    reset_policy, law = _RMS[rms] if rms else (TrainingSchedule.reset_policy, {})
 
-    def build(dim, num_actions, horizon, seed, *, train_every, batches_per_period,
-              batch_size, lr_init, lr_decay, **kw):
-        schedule = TrainingSchedule(train_every, batches_per_period, batch_size,
-                                    lr_init, lr_decay, reset_policy)
+    def build(dim, num_actions, horizon, seed, **kw):
+        plan = {key: kw.pop(key) for key in _SCHEDULE_KEYS & kw.keys()}
+        schedule = TrainingSchedule(**plan, reset_policy=reset_policy)
         if takes_horizon:
             kw["horizon"] = horizon
         return agent(dim, num_actions, schedule, seed, **kw)
     return Preset(name, summary, build, {**_CADENCE, **law, **defaults})
-
-
-def _chain(name: str, summary: str, agent, **defaults) -> Preset:
-    """An SG-MCMC chain or BBB: the agent makes its own schedule."""
-    def build(dim, num_actions, horizon, seed, **kw):
-        return agent(dim, num_actions, seed, **kw)
-    return Preset(name, summary, build, {**_CADENCE, **defaults})
 
 
 _RIDGE = {"ridge": 0.25}
@@ -161,13 +157,13 @@ _ALL = [
          target_eps=0.01),
     _net("NeuralLinear", "Bayesian linear head on learned features (a0=b0=3)",
          NeuralLinearAgent, "rms2", **_RIDGE, a0=3.0, b0=3.0, bias_feature=True),
-    _chain("SGFS", "Fisher-scored SGD chain, step 0.014, noise 0.75, burn-in 500",
-           SGFSAgent, step_size=0.014, noise_scale=0.75, **_SG_CHAIN),
-    _chain("ConstSGD", "constant-step SGD chain, burn-in 500", ConstSGDAgent,
-           noise_scale=0.5, **_SG_CHAIN),
-    _chain("BBB", "variational weight posterior, likelihood noise 0.1",
-           BayesByBackpropAgent, batches_per_period=100, prior_sigma=1.0,
-           noise_sigma=0.1, lr=0.01, ramp_initial=10000, ramp_periods=100),
+    _net("SGFS", "Fisher-scored SGD chain, step 0.014, noise 0.75, burn-in 500",
+         SGFSAgent, step_size=0.014, noise_scale=0.75, **_SG_CHAIN),
+    _net("ConstSGD", "constant-step SGD chain, burn-in 500", ConstSGDAgent,
+         noise_scale=0.5, **_SG_CHAIN),
+    _net("BBB", "variational weight posterior, likelihood noise 0.1",
+         BayesByBackpropAgent, batches_per_period=100, prior_sigma=1.0,
+         noise_sigma=0.1, lr_init=0.01, ramp_initial=10000, ramp_periods=100),
 ]
 
 PRESETS: dict[str, Preset] = {p.name: p for p in _ALL}

@@ -7,9 +7,10 @@ and the agent acts greedily on whatever the chain currently holds.  Both
 precondition with a diagonal EMA of squared gradients (an empirical Fisher
 stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
 every weight and draws a fresh network at decision time.  All three are a
-``neural.TrainableNet``, as the reward nets are, so they keep its history,
-schedule and training loop and train in its float32; they override only the
-batch gradients, the update, and (BBB) the batch count and scores.  The
+``neural.TrainableNet``, as the reward nets are, so they take a
+``TrainingSchedule`` (BBB's ramp of batches is the schedule's), keep its
+history and training loop and train in its float32; they override only the
+batch gradients, the update, and (BBB) the scores.  The
 functions here work on whole vectors laid out as a net's ``flat`` (Fisher
 diagonal, chain steps, BBB's noise and gradient), check that each has the
 parameters' shape, and compute and draw noise in their dtype.
@@ -35,7 +36,7 @@ from .mlp import (
     mlp_init,
     mlp_predict,
 )
-from .neural import TrainableNet
+from .neural import DEFAULT_HIDDEN, TrainableNet
 
 DIAG_FLOOR = 1e-10
 
@@ -158,17 +159,14 @@ class _SGChainAgent(TrainableNet):
         self,
         dim: int,
         num_actions: int,
+        schedule: TrainingSchedule,
         seed: SeedLike,
         *,
         ema_decay: float = 0.9,
         burn_in: int = 500,
-        train_every: int = 20,
-        batches_per_period: int = 20,
-        batch_size: int = 512,
-        hidden: Sequence[int] = (100, 100),
+        hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str,
     ):
-        schedule = TrainingSchedule(train_every, batches_per_period, batch_size)
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         super().__init__(dim, num_actions, schedule, seed, hidden)
@@ -176,8 +174,9 @@ class _SGChainAgent(TrainableNet):
         self.burn_in = burn_in
         self.name = name
 
-    def burning_in(self, batch_index: int) -> bool:
-        return self.period * self.schedule.batches_per_period + batch_index < self.burn_in
+    def burning_in(self) -> bool:
+        """True while the batch about to step is one of the first ``burn_in``."""
+        return self.batches_run < self.burn_in
 
 
 class SGFSAgent(_SGChainAgent):
@@ -187,6 +186,7 @@ class SGFSAgent(_SGChainAgent):
         self,
         dim: int,
         num_actions: int,
+        schedule: TrainingSchedule,
         seed: SeedLike,
         *,
         step_size: float = 0.014,
@@ -194,13 +194,13 @@ class SGFSAgent(_SGChainAgent):
         name: str = "SGFS",
         **chain,
     ):
-        super().__init__(dim, num_actions, seed, name=name, **chain)
+        super().__init__(dim, num_actions, schedule, seed, name=name, **chain)
         self.cfg = SGFSConfig(step_size=step_size, noise_scale=noise_scale)
 
     def _step(self, grads, data_count, batch_index) -> None:
         self.ema.update(grads)
         sgfs_step(self.net.flat, grads, self.ema, data_count, self.cfg, self.train_rng,
-                  self.burning_in(batch_index))
+                  self.burning_in())
 
 
 class ConstSGDAgent(_SGChainAgent):
@@ -210,13 +210,14 @@ class ConstSGDAgent(_SGChainAgent):
         self,
         dim: int,
         num_actions: int,
+        schedule: TrainingSchedule,
         seed: SeedLike,
         *,
         noise_scale: float = 0.0,
         name: str = "ConstSGD",
         **chain,
     ):
-        super().__init__(dim, num_actions, seed, name=name, **chain)
+        super().__init__(dim, num_actions, schedule, seed, name=name, **chain)
         self.cfg = ConstSGDConfig(noise_scale=noise_scale)
 
     def _step(self, grads, data_count, batch_index) -> None:
@@ -224,7 +225,7 @@ class ConstSGDAgent(_SGChainAgent):
         # rule is the same either way unless noise injection is enabled.
         self.ema.update(grads)
         const_sgd_step(self.net.flat, grads, self.ema, self.schedule.batch_size, data_count,
-                       self.cfg, self.train_rng, self.burning_in(batch_index))
+                       self.cfg, self.train_rng, self.burning_in())
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -354,54 +355,32 @@ class BayesByBackpropAgent(TrainableNet):
     """Thompson sampling from a mean-field variational weight posterior.
 
     Each decision draws a full network from q (``net``).  Training periods
-    minimize the single-sample variational loss with RMSProp; early periods
-    can run a long ramp of extra mini-batches (``ramp_initial`` decaying
-    linearly to the configured count over ``ramp_periods`` periods), which the
-    long-horizon presets use to get the posterior moving.
+    minimize the single-sample variational loss with RMSProp at the
+    schedule's rate; the long-horizon preset's schedule runs a long ramp of
+    extra mini-batches in early periods to get the posterior moving.
     """
 
     def __init__(
         self,
         dim: int,
         num_actions: int,
+        schedule: TrainingSchedule,
         seed: SeedLike,
         *,
         prior_sigma: float = 1.0,
         noise_sigma: float = 0.1,
-        lr: float = 0.01,
-        train_every: int = 20,
-        batches_per_period: int = 100,
-        batch_size: int = 512,
-        ramp_initial: Optional[int] = None,
-        ramp_periods: int = 100,
-        hidden: Sequence[int] = (100, 100),
+        hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str = "BBB",
     ):
         if not noise_sigma > 0:
             raise ValueError("noise_sigma must be positive")
-        if not lr > 0:
-            raise ValueError(f"lr must be positive, got {lr!r}")
-        if ramp_periods < 0:
-            raise ValueError(f"ramp_periods must be >= 0, got {ramp_periods!r}")
-        if ramp_initial is not None and ramp_initial < 1:
-            raise ValueError(f"ramp_initial must be >= 1, got {ramp_initial!r}")
-        schedule = TrainingSchedule(train_every, batches_per_period, batch_size, lr_init=lr)
         self.prior_sigma = prior_sigma
         super().__init__(dim, num_actions, schedule, seed, hidden)
         self.noise_sigma = noise_sigma
-        self.ramp_initial = ramp_initial
-        self.ramp_periods = ramp_periods
         self.name = name
 
     def _init_net(self, sizes, rng, layer_norm):
         return VariationalNet(sizes, self.prior_sigma, rng)
-
-    def batches_this_period(self) -> int:
-        final = self.schedule.batches_per_period
-        if self.ramp_initial is None or self.period >= self.ramp_periods:
-            return final
-        ramped = self.ramp_initial - self.period * (self.ramp_initial - final) / self.ramp_periods
-        return max(final, round(ramped))
 
     def _loss_and_grads(self, X, actions, rewards, data_count):
         loss, _, grads = bbb_loss_and_grads(

@@ -28,7 +28,14 @@ from banditbench import (
 from banditbench.bench import run_benchmark
 from banditbench.cli import main as cli_main
 from banditbench.config import parse_config
-from banditbench.mlp import make_dropout_masks, masked_mse, mlp_backward, mlp_forward, mlp_init
+from banditbench.mlp import (
+    TrainingSchedule,
+    make_dropout_masks,
+    masked_mse,
+    mlp_backward,
+    mlp_forward,
+    mlp_init,
+)
 from banditbench.presets import get_preset
 from banditbench.samplers import (
     ConstSGDConfig,
@@ -371,8 +378,8 @@ def test_criterion_11_sampler_guarantees():
     obs_rng = np.random.default_rng(111)
     chains = []
     for _ in range(2):
-        agent = SGFSAgent(3, 2, seed=5, noise_scale=0.0, burn_in=0, hidden=(16,),
-                          batch_size=32, batches_per_period=10)
+        agent = SGFSAgent(3, 2, TrainingSchedule(batch_size=32, batches_per_period=10), seed=5,
+                          noise_scale=0.0, burn_in=0, hidden=(16,))
         chains.append(agent)
     contexts = obs_rng.standard_normal((60, 3))
     rewards = obs_rng.standard_normal(60)

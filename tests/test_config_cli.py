@@ -437,8 +437,8 @@ _BAD_AGENT_VALUES = [
     ("BBB", "noise_sigma=-1", "noise_sigma must be positive"),
     ("BBB", "ramp_periods=-3", "ramp_periods must be >= 0, got -3"),
     ("BBB", "ramp_initial=-5", "ramp_initial must be >= 1, got -5"),
-    ("BBB", "lr=-1", "lr must be positive, got -1.0"),
-    ("BBB", "lr=0", "lr must be positive, got 0.0"),
+    ("BBB", "lr_init=-1", "lr_init must be positive, got -1.0"),
+    ("BBB", "lr_init=0", "lr_init must be positive, got 0.0"),
     ("SGFS", "ema_decay=1.0", "ema_decay must lie in [0, 1), got 1.0"),
     ("RMS1", "batch_size=0", "batch_size must be positive, got 0"),
     ("RMS1", "lr_decay=-1", "lr_decay must be >= 0, got -1.0"),

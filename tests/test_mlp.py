@@ -7,6 +7,7 @@ import pytest
 
 from banditbench.mlp import (
     MLP,
+    RESET_POLICIES,
     RMSProp,
     TrainingSchedule,
     hidden_features,
@@ -278,8 +279,13 @@ def test_schedule_due_logic():
 
 
 def test_schedule_learning_rate_policies():
-    fixed = TrainingSchedule(lr_init=0.3, lr_decay=0.5, reset_policy="fixed")
-    assert fixed.learning_rate(period=9, batch_index=7) == 0.3
+    assert RESET_POLICIES == ("reset-each-period", "decay-across-periods")
+    assert TrainingSchedule().reset_policy == "decay-across-periods"
+    for policy in RESET_POLICIES:  # lr_decay = 0 is a fixed rate under either index
+        fixed = TrainingSchedule(lr_init=0.3, reset_policy=policy)
+        assert fixed.learning_rate(period=9, batch_index=7) == 0.3
+    with pytest.raises(ValueError):
+        TrainingSchedule(reset_policy="fixed")
     inner = TrainingSchedule(lr_init=1.0, lr_decay=0.55, reset_policy="reset-each-period")
     assert inner.learning_rate(period=9, batch_index=0) == 1.0
     assert inner.learning_rate(period=9, batch_index=4) == pytest.approx(1.0 / (1 + 0.55 * 4))

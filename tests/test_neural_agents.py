@@ -1,5 +1,7 @@
 """Neural agents: determinism, exploration mechanics, and the preset registry."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,15 @@ def test_neural_linear_head_dimensions_and_online_updates():
     assert z[0, -1] == 1.0
 
 
+def test_neural_linear_without_a_hidden_layer_regresses_on_the_context():
+    env = ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95, horizon=60), 0))
+    agent = NeuralLinearAgent(env.dim, env.num_actions, SMALL, seed=0, hidden=())
+    assert agent.feature_dim == agent.heads.dim == env.dim + 1
+    trace = run_trial(env, agent, seed=0)
+    assert len(trace) == 60 and agent.period > 0
+    assert np.isfinite(cumulative_regret(trace))
+
+
 def test_neural_linear_refresh_rebuilds_heads_from_new_features():
     agent = NeuralLinearAgent(3, 2, SMALL, seed=5, hidden=(6,))
     feed(agent, 30, 3, 2, seed=11)
@@ -333,8 +344,8 @@ def test_preset_overrides_apply_and_unknowns_rejected():
 
 
 # where an agent keeps a key's value under another name
-_HELD_AS = {"lambda": "ridge", "lr": "lr_init", "p_keep": "dropout_keep",
-            "sigma_init": "sigma", "ema_decay": "decay"}
+_HELD_AS = {"lambda": "ridge", "p_keep": "dropout_keep", "sigma_init": "sigma",
+            "ema_decay": "decay"}
 
 
 def held_value(agent, key):
@@ -367,10 +378,53 @@ def test_every_declared_key_builds(name, key):
     assert held_value(agent, key) == value
 
 
+_SCHEDULE_KEYS = {f.name for f in fields(TrainingSchedule)}
+
+
+def schedule_answers(agent):
+    """What the agent's schedule tells its net: when periods fire, how many
+    batches each runs, at what rates, on what batch size."""
+    schedule = (agent.members[0] if isinstance(agent, BootstrapAgent) else agent).schedule
+    return (
+        [schedule.due(step, 1) for step in range(200)],
+        [schedule.batches(period) for period in range(200)],
+        [schedule.learning_rate(period, j) for period in range(5) for j in range(5)],
+        schedule.batch_size,
+    )
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name, preset in PRESETS.items() for key in preset.params
+    if key in _SCHEDULE_KEYS
+])
+def test_every_schedule_key_acts(name, key):
+    # a key the schedule holds but never reads would pass test_every_declared_key_builds
+    preset = get_preset(name)
+    changed = preset.make(3, 2, 50, 0, {key: other_value(preset.defaults[key])})
+    assert schedule_answers(changed) != schedule_answers(preset.make(3, 2, 50, 0))
+
+
+def test_rms1_lr_decay_decays_and_its_default_rate_is_fixed():
+    rates = {}
+    for decay in (None, 0.5):
+        overrides = {"train_every": 5, "batches_per_period": 2, "batch_size": 8}
+        if decay is not None:
+            overrides["lr_decay"] = decay
+        agent = get_preset("RMS1").make(3, 2, 50, 0, overrides)
+        seen, step = [], agent.opt.step
+        agent.opt.step = lambda params, grads, lr: (seen.append(lr), step(params, grads, lr))
+        feed(agent, 12, 3, 2, seed=1)
+        for s in (0, 5, 10):
+            agent.maybe_train(s)
+        rates[decay] = seen
+    assert rates[None] == [0.01] * 6
+    assert rates[0.5] == [0.01 / (1.0 + 0.5 * p) for p in (0, 0, 1, 1, 2, 2)]
+
+
 def test_rms_preset_schedules():
     rms1 = get_preset("RMS1").make(2, 2, 50, 0)
-    assert rms1.schedule.reset_policy == "fixed"
-    assert rms1.schedule.lr_init == 0.01
+    assert rms1.schedule.reset_policy == "decay-across-periods"
+    assert (rms1.schedule.lr_init, rms1.schedule.lr_decay) == (0.01, 0.0)
     rms2 = get_preset("RMS2").make(2, 2, 50, 0)
     assert rms2.schedule.reset_policy == "reset-each-period"
     assert rms2.schedule.lr_decay == 0.55

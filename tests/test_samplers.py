@@ -2,6 +2,7 @@
 
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ from banditbench import (
     VariationalNet,
     bbb_loss_and_grads,
     const_sgd_step,
+    get_preset,
+    run_trial,
     sgfs_step,
 )
+from banditbench.bench import setup_run
+from banditbench.config import load_config
 from banditbench.mlp import (
     TrainingSchedule,
     make_dropout_masks,
@@ -33,6 +38,9 @@ from banditbench.samplers import (
     softplus,
     softplus_inverse,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def frozen_ema(value: float) -> FisherEMA:
@@ -189,8 +197,8 @@ def run_periods(agent, observations, periods: int, train_every: int):
 def test_sgfs_noise_disabled_is_bitwise_deterministic():
     obs = make_observations(30, 3, 2, seed=1)
     agents = [
-        SGFSAgent(3, 2, seed=7, noise_scale=0.0, burn_in=0, hidden=(8,),
-                  batch_size=16, batches_per_period=5)
+        SGFSAgent(3, 2, TrainingSchedule(batch_size=16, batches_per_period=5), seed=7,
+                  noise_scale=0.0, burn_in=0, hidden=(8,))
         for _ in range(2)
     ]
     for agent in agents:
@@ -201,10 +209,9 @@ def test_sgfs_noise_disabled_is_bitwise_deterministic():
 
 def test_sgfs_burn_in_matches_noise_free_then_diverges():
     obs = make_observations(30, 3, 2, seed=2)
-    noisy = SGFSAgent(3, 2, seed=9, noise_scale=0.75, burn_in=5, hidden=(8,),
-                      batch_size=16, batches_per_period=5)
-    silent = SGFSAgent(3, 2, seed=9, noise_scale=0.0, burn_in=0, hidden=(8,),
-                       batch_size=16, batches_per_period=5)
+    schedule = TrainingSchedule(batch_size=16, batches_per_period=5)
+    noisy = SGFSAgent(3, 2, schedule, seed=9, noise_scale=0.75, burn_in=5, hidden=(8,))
+    silent = SGFSAgent(3, 2, schedule, seed=9, noise_scale=0.0, burn_in=0, hidden=(8,))
     for agent in (noisy, silent):
         for o in obs:
             agent.observe(o)
@@ -235,8 +242,8 @@ class CountingRNG:
 
 
 def test_chain_agents_train_on_schedule():
-    agent = ConstSGDAgent(2, 2, seed=0, train_every=10, batches_per_period=3,
-                          batch_size=4, hidden=(4,), burn_in=0)
+    agent = ConstSGDAgent(2, 2, TrainingSchedule(train_every=10, batches_per_period=3,
+                                                 batch_size=4), seed=0, hidden=(4,), burn_in=0)
     agent.observe(Observation(context=np.ones(2), action=0, reward=1.0))
     draws = []
     agent.train_rng = CountingRNG(agent.train_rng, draws)
@@ -250,9 +257,9 @@ def test_chain_agents_train_on_schedule():
     assert (agent.period, len(draws)) == (2, 6)
     assert "opt" not in vars(agent)  # a chain steps with its Fisher EMA, never RMSProp
     with pytest.raises(ValueError):
-        SGFSAgent(2, 2, seed=0, train_every=0)
+        SGFSAgent(2, 2, TrainingSchedule(train_every=0), seed=0)
     with pytest.raises(ValueError):
-        SGFSAgent(2, 2, seed=0, burn_in=-1)
+        SGFSAgent(2, 2, TrainingSchedule(), seed=0, burn_in=-1)
 
 
 def test_softplus_pair():
@@ -356,30 +363,55 @@ def test_bbb_loss_terms_and_validation():
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=0.0, noise=noise)
     for noise_sigma in (0.0, -1.0):
         with pytest.raises(ValueError, match="noise_sigma must be positive"):
-            BayesByBackpropAgent(2, 2, seed=0, noise_sigma=noise_sigma, hidden=(4,))
+            BayesByBackpropAgent(2, 2, TrainingSchedule(), seed=0, noise_sigma=noise_sigma,
+                                 hidden=(4,))
     with pytest.raises(ValueError):
         bbb_loss_and_grads(vnet, X, [0], [2.0], total_count=10, noise_sigma=1.0,
                            noise=np.zeros(1))
 
 
 def test_bbb_ramp_schedule():
-    agent = BayesByBackpropAgent(
-        2, 2, seed=0, batches_per_period=100, ramp_initial=10000, ramp_periods=100,
-        hidden=(4,),
-    )
+    ramp = TrainingSchedule(batches_per_period=100, ramp_initial=10000, ramp_periods=100)
     expected = {0: 10000, 50: 5050, 99: 199, 100: 100, 500: 100}
     for period, count in expected.items():
-        agent.period = period
-        assert agent.batches_this_period() == count
-    plain = BayesByBackpropAgent(2, 2, seed=0, batches_per_period=7, hidden=(4,))
-    assert plain.batches_this_period() == 7
-    with pytest.raises(ValueError):
-        BayesByBackpropAgent(2, 2, seed=0, lr=0.0)
+        assert ramp.batches(period) == count
+    assert TrainingSchedule(batches_per_period=7).batches(0) == 7
+    assert TrainingSchedule(batches_per_period=7, ramp_initial=30, ramp_periods=0).batches(0) == 7
+    for bad, message in [({"ramp_periods": -3}, "ramp_periods must be >= 0, got -3"),
+                         ({"ramp_initial": 0}, "ramp_initial must be >= 1, got 0"),
+                         ({"lr_init": 0.0}, "lr_init must be positive, got 0.0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainingSchedule(**bad)
+
+
+@pytest.mark.parametrize("preset", ["BBB", "SGFS"])
+def test_the_schedules_plan_is_what_runs(preset):
+    # pinned-chains.cfg's BBB ramps from 40 batches to 5 over 5 periods and its
+    # SGFS runs 7 a period (ConstSGD shares SGFS's loop and burn-in)
+    config = load_config(str(CONFIGS / "pinned-chains.cfg"))
+    (spec,) = [spec for spec in config.agents if spec.preset == preset]
+    env = setup_run(config)[0](0)
+    agent = get_preset(preset).make(env.dim, env.num_actions, 120, 0, spec.overrides)
+    run_trial(env, agent, seed=0, horizon=120)
+    assert agent.period == 6
+    assert agent.batches_run == sum(agent.schedule.batches(p) for p in range(agent.period))
+    if preset == "BBB":
+        assert agent.batches_run == 40 + 33 + 26 + 19 + 12 + 5
+
+
+def test_bbb_default_plan_on_the_long_wheel():
+    # ROADMAP item 6's figure, from the schedule alone: no net trains
+    horizon, k, warmup = 2000, 5, 3
+    schedule = get_preset("BBB").make(3, k, horizon, 0).schedule
+    periods = sum(schedule.due(step, 1) for step in range(horizon - k * warmup))
+    assert periods == 100
+    assert sum(schedule.batches(p) for p in range(periods)) == 509_950
 
 
 def test_bbb_agent_trains_and_chooses():
     agent = BayesByBackpropAgent(
-        2, 2, seed=1, train_every=5, batches_per_period=2, batch_size=8, hidden=(4,)
+        2, 2, TrainingSchedule(train_every=5, batches_per_period=2, batch_size=8), seed=1,
+        hidden=(4,),
     )
     rng = np.random.default_rng(0)
     for obs in make_observations(12, 2, 2, seed=5):
@@ -556,18 +588,18 @@ def test_training_matches_the_reference_loops_bitwise(kind):
     # float32 nets.
     dim, k, seed, hidden, bs = 3, 2, 11, (8,), 16
     if kind == "SGFS":
-        agent = SGFSAgent(dim, k, seed, noise_scale=0.75, burn_in=4, batches_per_period=3,
-                          batch_size=bs, hidden=hidden, train_every=10)
+        agent = SGFSAgent(dim, k, TrainingSchedule(10, 3, bs), seed, noise_scale=0.75,
+                          burn_in=4, hidden=hidden)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 4,
                              reference_sgfs_step(SGFSConfig(noise_scale=0.75)))
     elif kind == "ConstSGD":
-        agent = ConstSGDAgent(dim, k, seed, noise_scale=0.3, burn_in=2, batches_per_period=3,
-                              batch_size=bs, hidden=hidden, train_every=10)
+        agent = ConstSGDAgent(dim, k, TrainingSchedule(10, 3, bs), seed, noise_scale=0.3,
+                              burn_in=2, hidden=hidden)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 2,
                              reference_const_sgd_step(ConstSGDConfig(noise_scale=0.3), bs))
     elif kind == "BBB":
-        agent = BayesByBackpropAgent(dim, k, seed, lr=0.02, batches_per_period=2, batch_size=bs,
-                                     ramp_initial=6, ramp_periods=3, hidden=hidden, train_every=10)
+        schedule = TrainingSchedule(10, 2, bs, lr_init=0.02, ramp_initial=6, ramp_periods=3)
+        agent = BayesByBackpropAgent(dim, k, schedule, seed, hidden=hidden)
         ref = ReferenceBBB(agent.net, seed, 0.1, 0.02, bs, 2, 6, 3)
     else:
         schedule = TrainingSchedule(10, 3, bs, lr_init=0.01, lr_decay=0.55,
