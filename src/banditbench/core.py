@@ -6,6 +6,20 @@ arrays, the contexts (n, d) and every action's expected reward (n, k), plus
 the reward noise its subclass draws in ``realize_reward``.  ``run_trial``
 wires the two together with a round-robin warmup, and ``run_experiment``
 repeats trials under paired seeds and reduces them to regret summaries.
+
+Every random stream is derived here, by ``rng_at(seed, *path)``: the
+generator of the ``SeedSequence`` at an explicit spawn-key path below the
+seed (``seed_at``).  A trial's seed is the root of one tree, and no two
+streams of a trial hang at the same node:
+
+* the root draws the environment's contexts;
+* ``(0,)`` and ``(1,)`` are ``run_trial``'s reward-noise and decision
+  generators, and no other code makes a generator at depth 1;
+* a net agent roots its net at ``(0,)``: its initialization draws from
+  ``(0, 0)`` and its mini-batches (masks, chain noise, BBB's weight noise)
+  from ``(0, 1)``; ParamNoise adapts its sigma from ``(0, 2)``;
+* bootstrap member i roots its net at ``(i,)``, and the q members'
+  inclusion draws come from ``(q, 0)``.
 """
 
 from __future__ import annotations
@@ -16,12 +30,29 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 # Number of trailing steps that enter the simple-regret average.
 SIMPLE_REGRET_WINDOW = 500
+
+SeedLike = Union[int, np.random.SeedSequence]
+
+
+def seed_at(seed: SeedLike, *path: int) -> np.random.SeedSequence:
+    """The node at spawn-key ``path`` below ``seed``: bitwise the child that a
+    chain of ``spawn`` calls reaches, built without spawning."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + path,
+                                      pool_size=seed.pool_size)
+    return np.random.SeedSequence(seed, spawn_key=path)
+
+
+def rng_at(seed: SeedLike, *path: int) -> np.random.Generator:
+    """The generator of ``seed_at(seed, *path)``; with no path, the same
+    stream as ``default_rng(seed)``."""
+    return np.random.default_rng(seed_at(seed, *path))
 
 
 class ContractViolation(RuntimeError):
@@ -266,16 +297,6 @@ class UniformAgent(Agent):
         return None
 
 
-def _trial_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two independent generators per trial: reward realization and agent draws.
-
-    Keeping the streams separate means agent-side sampling never perturbs the
-    reward noise, so agents that pick identical actions see identical rewards.
-    """
-    env_ss, agent_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(env_ss), np.random.default_rng(agent_ss)
-
-
 def run_trial(
     env: Environment,
     agent: Agent,
@@ -289,7 +310,9 @@ def run_trial(
     (action = step mod k); afterwards the agent chooses.  Every step the agent
     observes the realized reward and gets a ``maybe_train`` tick carrying the
     post-warmup step counter.  Before the first step the trial's contexts are
-    checked finite and hashed into ``context_digest``.  An exception raised
+    checked finite and hashed into ``context_digest``.  Rewards draw from the
+    seed's ``(0,)`` stream and decisions from its ``(1,)``, so agent-side
+    sampling never perturbs the reward noise.  An exception raised
     inside a step is re-raised with the step in its message: a
     ContractViolation stays one, anything else becomes a RuntimeError naming
     the original type.
@@ -307,7 +330,7 @@ def run_trial(
 
     k = env.num_actions
     warmup_len = k * warmup_pulls
-    env_rng, agent_rng = _trial_streams(seed)
+    env_rng, agent_rng = rng_at(seed, 0), rng_at(seed, 1)
 
     contexts = np.asarray(env.contexts[:horizon], dtype=np.float64)
     finite = np.isfinite(contexts)

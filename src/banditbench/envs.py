@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Environment
+from .core import Environment, rng_at
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +101,7 @@ class WheelBandit(Environment):
         self.config = config
         self.name = f"wheel(delta={config.delta})"
         n = config.horizon
-        rng = np.random.default_rng(seed)
+        rng = rng_at(seed)
         radii = np.sqrt(rng.random(n))
         angles = rng.uniform(0.0, 2.0 * math.pi, n)
         contexts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
@@ -166,7 +166,7 @@ class SampledLinearBandit(Environment):
     def __init__(self, config: LinearConfig, seed: int):
         self.config = config
         self.name = f"linear(d={config.dim},k={config.num_actions})"
-        rng = np.random.default_rng(seed)
+        rng = rng_at(seed)
         scale = math.sqrt(config.beta_variance)
         self.betas = scale * rng.standard_normal((config.num_actions, config.dim))
         contexts = config.context_mean + rng.standard_normal((config.horizon, config.dim))
@@ -249,7 +249,7 @@ class DatasetBandit(Environment):
 
     def shuffled(self, seed: int) -> "DatasetBandit":
         """Copy with rows permuted under the trial seed."""
-        perm = np.random.default_rng(seed).permutation(len(self.contexts))
+        perm = rng_at(seed).permutation(len(self.contexts))
         return DatasetBandit(
             self.contexts[perm],
             self.expected[perm],
@@ -413,7 +413,7 @@ def dataset_load(spec: DatasetSpec) -> DatasetBandit:
     else:  # financial_synthetic
         if spec.num_actions is None:
             raise ValueError("financial_synthetic rule needs num_actions")
-        mix_rng = np.random.default_rng(spec.seed)
+        mix_rng = rng_at(spec.seed)
         M = mix_rng.standard_normal((spec.num_actions, dim)) / math.sqrt(dim)
         R = X @ M.T
 

@@ -22,21 +22,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
 
-SeedLike = Union[int, np.random.SeedSequence]
-
 RESET_POLICIES = ("reset-each-period", "decay-across-periods")
-
-
-def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @functools.lru_cache(maxsize=None)

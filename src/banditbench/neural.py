@@ -9,12 +9,18 @@ period runs.  Every trained agent subclasses it (the ``samplers`` agents too)
 and takes a ``TrainingSchedule``, and they differ in where the randomness of
 their ``sample_scores`` comes from:
 
-* ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks).
+* ``NeuralGreedyAgent``: none (or epsilon-greedy, or dropout masks, the
+  Dropout preset).
 * ``ParameterNoiseAgent``: Gaussian noise added to every parameter.
 * ``NeuralLinearAgent``: a Bayesian linear head over the last hidden layer.
 
 ``BootstrapAgent`` is q ``TrainableNet`` members, each trained on its own
 resample of the history; which member answers is its randomness.
+
+Each agent hangs its streams on the agent seed's tree (``core``): the net is
+rooted at ``(0,)``, so it initializes from ``(0, 0)`` and draws mini-batches
+from ``(0, 1)``; ParamNoise adapts from ``(0, 2)``; bootstrap member i is
+rooted at ``(i,)`` and the inclusion draws come from ``(q, 0)``.
 
 Every net computes in ``TRAIN_DTYPE`` (float32): ``TrainableNet`` casts the
 float64 net it initializes, and the ``mlp`` and ``samplers`` functions follow
@@ -25,18 +31,15 @@ posterior casts NeuralLinear's float32 features as they enter it.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Agent, HistoryBuffer, Observation
+from .core import Agent, HistoryBuffer, Observation, SeedLike, rng_at, seed_at
 from .linear import NIGLinearPosterior
 from .mlp import (
     RMSProp,
-    SeedLike,
     TrainingSchedule,
-    _seed_sequence,
     hidden_features,
     make_dropout_masks,
     masked_mse,
@@ -61,11 +64,12 @@ class TrainableNet(Agent):
 
     ``observe`` appends, ``maybe_train`` trains one period on the whole
     history when the schedule is due, and ``sample_scores`` is the net's
-    forward pass (under fresh dropout masks when ``dropout_keep`` < 1);
-    subclasses change only what differs.  Separate initialization and
-    mini-batch streams come from the seed, so two nets built from the same
-    seed material are bit-identical and train identically on identical data.
-    The net is initialized in float64 and cast to ``TRAIN_DTYPE``.
+    forward pass (under fresh dropout masks when ``p_keep`` < 1);
+    subclasses change only what differs.  ``seed`` is the net's root: it
+    initializes from ``(0,)`` below it and draws mini-batches from ``(1,)``,
+    so two nets built from the same seed material are bit-identical and train
+    identically on identical data.  The net is initialized in float64 and
+    cast to ``TRAIN_DTYPE``.
     """
 
     def __init__(
@@ -76,22 +80,21 @@ class TrainableNet(Agent):
         seed: SeedLike,
         hidden: Sequence[int] = DEFAULT_HIDDEN,
         layer_norm: bool = False,
-        dropout_keep: Optional[float] = None,
+        p_keep: Optional[float] = None,
     ):
-        if dropout_keep is not None and not 0.0 < dropout_keep <= 1.0:
-            raise ValueError(f"p_keep must lie in (0, 1], got {dropout_keep!r}")
-        init_ss, train_ss = _seed_sequence(seed).spawn(2)
-        rng = np.random.default_rng(init_ss)
+        if p_keep is not None and not 0.0 < p_keep <= 1.0:
+            raise ValueError(f"p_keep must lie in (0, 1], got {p_keep!r}")
+        rng = rng_at(seed, 0)
         self.net = self._init_net([dim, *hidden, num_actions], rng, layer_norm).astype(TRAIN_DTYPE)
         self.schedule = schedule
-        self.train_rng = np.random.default_rng(train_ss)
+        self.train_rng = rng_at(seed, 1)
         self.period = 0
         self.batches_run = 0
         self.num_actions = num_actions
         self.buffer = HistoryBuffer(dim, num_actions)
         # p_keep = 1 short-circuits to the plain forward pass so the agent is
         # draw-for-draw identical to one with dropout disabled.
-        self.dropout_keep = None if dropout_keep == 1.0 else dropout_keep
+        self.p_keep = None if p_keep == 1.0 else p_keep
 
     def _init_net(self, sizes, rng, layer_norm):
         return mlp_init(sizes, rng, layer_norm)
@@ -119,9 +122,9 @@ class TrainableNet(Agent):
 
     def _loss_and_grads(self, X, actions, rewards, data_count):
         masks = None
-        if self.dropout_keep is not None:
-            masks = make_dropout_masks(self.net, len(rewards), self.dropout_keep, self.train_rng)
-        out, cache = mlp_forward(self.net, X, masks, self.dropout_keep or 1.0)
+        if self.p_keep is not None:
+            masks = make_dropout_masks(self.net, len(rewards), self.p_keep, self.train_rng)
+        out, cache = mlp_forward(self.net, X, masks, self.p_keep or 1.0)
         loss, dout = masked_mse(out, actions, rewards)
         return loss, mlp_backward(self.net, cache, dout)
 
@@ -136,10 +139,10 @@ class TrainableNet(Agent):
         return True
 
     def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.dropout_keep is None:
+        if self.p_keep is None:
             return mlp_predict(self.net, context)[0]
-        masks = make_dropout_masks(self.net, 1, self.dropout_keep, rng)
-        return mlp_forward(self.net, context, masks, self.dropout_keep)[0][0]
+        masks = make_dropout_masks(self.net, 1, self.p_keep, rng)
+        return mlp_forward(self.net, context, masks, self.p_keep)[0][0]
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)
@@ -152,7 +155,7 @@ class NeuralGreedyAgent(TrainableNet):
     """Greedy reward-net agent; the RMS training-policy presets live here.
 
     ``epsilon``/``epsilon_decay`` give the epsilon-greedy variant (decay is
-    applied once per ``choose`` call); ``dropout_keep`` < 1 gives the dropout
+    applied once per ``choose`` call); ``p_keep`` < 1 gives the dropout
     variant, with fresh masks at both train and decision time.
     """
 
@@ -165,7 +168,7 @@ class NeuralGreedyAgent(TrainableNet):
         *,
         epsilon: float = 0.0,
         epsilon_decay: float = 1.0,
-        dropout_keep: Optional[float] = None,
+        p_keep: Optional[float] = None,
         hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str = "RMS",
     ):
@@ -173,31 +176,10 @@ class NeuralGreedyAgent(TrainableNet):
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 < epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must lie in (0, 1]")
-        (net_seed,) = _seed_sequence(seed).spawn(1)
-        super().__init__(dim, num_actions, schedule, net_seed, hidden, dropout_keep=dropout_keep)
+        super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden, p_keep=p_keep)
         self.epsilon = epsilon
         self.epsilon_decay = epsilon_decay
         self.name = name
-
-
-class DropoutAgent(NeuralGreedyAgent):
-    """Thompson-style exploration via dropout masks at decision time."""
-
-    def __init__(
-        self,
-        dim: int,
-        num_actions: int,
-        schedule: TrainingSchedule,
-        seed: SeedLike,
-        *,
-        p_keep: float = 0.8,
-        hidden: Sequence[int] = DEFAULT_HIDDEN,
-        name: str = "Dropout",
-    ):
-        super().__init__(
-            dim, num_actions, schedule, seed,
-            dropout_keep=p_keep, hidden=hidden, name=name,
-        )
 
 
 class BootstrapAgent(Agent):
@@ -206,8 +188,10 @@ class BootstrapAgent(Agent):
     Each observation enters each member's own history independently with
     probability p, and each member trains on its history on the shared
     schedule; at decision time one member is drawn uniformly and its scores
-    answer.  With q = 1 and p = 1 the construction (seeding included) is
-    identical to the greedy agent's single net.
+    answer.  Member i's net is rooted at the seed's ``(i,)`` and the
+    inclusion draws come from ``(q, 0)``, which p = 1 never draws from, so
+    with q = 1 and p = 1 the agent is identical to the greedy agent's single
+    net, whose root is ``(0,)``.
     """
 
     def __init__(
@@ -226,12 +210,11 @@ class BootstrapAgent(Agent):
             raise ValueError("q must be positive")
         if not 0.0 < p <= 1.0:
             raise ValueError("p must lie in (0, 1]")
-        children = _seed_sequence(seed).spawn(q + 1)
         self.members = [
-            TrainableNet(dim, num_actions, schedule, child, hidden)
-            for child in children[:q]
+            TrainableNet(dim, num_actions, schedule, seed_at(seed, i), hidden)
+            for i in range(q)
         ]
-        self._include_rng = np.random.default_rng(children[q])
+        self._include_rng = rng_at(seed, q, 0)
         self.num_actions = num_actions
         self.q = q
         self.p = p
@@ -259,10 +242,11 @@ class ParameterNoiseAgent(TrainableNet):
 
     The net uses layer normalization so a single noise scale is meaningful
     across layers.  After each training period the scale adapts: actions are
-    recomputed on the most recent probe contexts under one fresh perturbation,
-    and sigma grows by 1.01 when the action mismatch rate falls below a target
-    that decays linearly from ``target_eps`` to zero over the horizon, and
-    shrinks by 1.01 otherwise.
+    recomputed on the history's last ``PROBE_WINDOW`` contexts under one fresh
+    perturbation, drawn from the seed's ``(0, 2)``, and sigma grows by 1.01
+    when the action mismatch rate falls below a target that decays linearly
+    from ``target_eps`` to zero over the horizon, and shrinks by 1.01
+    otherwise.
     """
 
     PROBE_WINDOW = 32
@@ -284,31 +268,23 @@ class ParameterNoiseAgent(TrainableNet):
             raise ValueError("sigma_init must be positive and target_eps >= 0")
         if horizon < 1:
             raise ValueError("horizon must be positive")
-        net_ss, adapt_ss = _seed_sequence(seed).spawn(2)
-        super().__init__(dim, num_actions, schedule, net_ss, hidden, layer_norm=True)
-        self._adapt_rng = np.random.default_rng(adapt_ss)
+        super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden, layer_norm=True)
+        self._adapt_rng = rng_at(seed, 0, 2)
         self.sigma = sigma_init
         self.target_eps = target_eps
         self.horizon = horizon
-        self.steps_seen = 0
-        self.recent: deque[np.ndarray] = deque(maxlen=self.PROBE_WINDOW)
         self.name = name
 
     def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return mlp_predict(perturb(self.net, self.sigma, rng), context)[0]
 
-    def observe(self, obs: Observation) -> None:
-        super().observe(obs)
-        self.recent.append(obs.context)
-        self.steps_seen += 1
-
     def _target(self) -> float:
-        return self.target_eps * max(0.0, 1.0 - self.steps_seen / self.horizon)
+        return self.target_eps * max(0.0, 1.0 - len(self.buffer) / self.horizon)
 
     def _adapt(self) -> None:
-        if not self.recent:
+        if not len(self.buffer):
             return
-        probe = np.stack(self.recent)
+        probe = self.buffer.contexts[-self.PROBE_WINDOW:]
         base = self.best_action(mlp_predict(self.net, probe))
         noisy = perturb(self.net, self.sigma, self._adapt_rng)
         shifted = self.best_action(mlp_predict(noisy, probe))
@@ -324,7 +300,8 @@ class ParameterNoiseAgent(TrainableNet):
 
 
 class NeuralLinearAgent(TrainableNet):
-    """Exact Bayesian linear regression on learned last-layer features.
+    """Exact Bayesian linear regression on learned last-layer features and a
+    constant, the heads' intercept.
 
     Between training periods the per-action Normal-Inverse-Gamma heads (one
     posterior with an arm per action) update online with the current
@@ -349,15 +326,12 @@ class NeuralLinearAgent(TrainableNet):
         ridge: float = 0.25,
         a0: float = 3.0,
         b0: float = 3.0,
-        bias_feature: bool = True,
         hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str = "NeuralLinear",
     ):
-        (net_seed,) = _seed_sequence(seed).spawn(1)
-        super().__init__(dim, num_actions, schedule, net_seed, hidden)
-        self.bias_feature = bias_feature
+        super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden)
         # with no hidden layer the features are the context itself
-        self.feature_dim = (hidden[-1] if hidden else dim) + (1 if bias_feature else 0)
+        self.feature_dim = (hidden[-1] if hidden else dim) + 1
         self._prior = (ridge, a0, b0)
         self.heads = self._prior_heads()
         self._chosen: Optional[tuple[np.ndarray, np.ndarray]] = None  # (x, phi(x))
@@ -368,9 +342,7 @@ class NeuralLinearAgent(TrainableNet):
 
     def _featurize(self, X: np.ndarray) -> np.ndarray:
         Z = hidden_features(self.net, X)
-        if self.bias_feature:
-            Z = np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)
-        return Z
+        return np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)
 
     def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         phi = self._featurize(context)[0]

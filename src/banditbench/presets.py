@@ -24,7 +24,6 @@ from .linear import LinearGreedyAgent, LinearThompsonAgent
 from .mlp import TrainingSchedule
 from .neural import (
     BootstrapAgent,
-    DropoutAgent,
     NeuralGreedyAgent,
     NeuralLinearAgent,
     ParameterNoiseAgent,
@@ -148,15 +147,15 @@ _ALL = [
          NeuralGreedyAgent, "rms3", **_GREEDY, batches_per_period=100),
     _net("EpsGreedyRMS", "greedy net with epsilon=0.01 decaying 0.999 per decision",
          NeuralGreedyAgent, "rms3", epsilon=0.01, epsilon_decay=0.999),
-    _net("Dropout", "dropout exploration, keep probability 0.8", DropoutAgent, "rms2",
-         p_keep=0.8),
+    _net("Dropout", "dropout exploration, keep probability 0.8", NeuralGreedyAgent,
+         "rms2", p_keep=0.8),
     _net("BootstrappedNN", "bootstrapped ensemble of q=10 nets, inclusion p=1.0",
          BootstrapAgent, "rms3", q=10, p=1.0),
     _net("ParamNoise", "parameter-noise exploration with layer norm, sigma=0.01",
          ParameterNoiseAgent, "rms2", takes_horizon=True, sigma_init=0.01,
          target_eps=0.01),
     _net("NeuralLinear", "Bayesian linear head on learned features (a0=b0=3)",
-         NeuralLinearAgent, "rms2", **_RIDGE, a0=3.0, b0=3.0, bias_feature=True),
+         NeuralLinearAgent, "rms2", **_RIDGE, a0=3.0, b0=3.0),
     _net("SGFS", "Fisher-scored SGD chain, step 0.014, noise 0.75, burn-in 500",
          SGFSAgent, step_size=0.014, noise_scale=0.75, **_SG_CHAIN),
     _net("ConstSGD", "constant-step SGD chain, burn-in 500", ConstSGDAgent,

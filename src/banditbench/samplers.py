@@ -9,8 +9,8 @@ stand-in).  Bayes-by-backprop instead maintains a factorized Gaussian over
 every weight and draws a fresh network at decision time.  All three are a
 ``neural.TrainableNet``, as the reward nets are, so they take a
 ``TrainingSchedule`` (BBB's ramp of batches is the schedule's), keep its
-history and training loop and train in its float32; they override only the
-batch gradients, the update, and (BBB) the scores.  The
+history, training loop and seed tree and train in its float32; they override
+only the batch gradients, the update, and (BBB) the scores.  The
 functions here work on whole vectors laid out as a net's ``flat`` (Fisher
 diagonal, chain steps, BBB's noise and gradient), check that each has the
 parameters' shape, and compute and draw noise in their dtype.
@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import SeedLike, seed_at
 from .mlp import (
     MLP,
-    SeedLike,
     TrainingSchedule,
     check_shape,
     masked_mse,
@@ -169,7 +169,7 @@ class _SGChainAgent(TrainableNet):
     ):
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        super().__init__(dim, num_actions, schedule, seed, hidden)
+        super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden)
         self.ema = FisherEMA(self.net.flat, ema_decay)
         self.burn_in = burn_in
         self.name = name
@@ -375,7 +375,7 @@ class BayesByBackpropAgent(TrainableNet):
         if not noise_sigma > 0:
             raise ValueError("noise_sigma must be positive")
         self.prior_sigma = prior_sigma
-        super().__init__(dim, num_actions, schedule, seed, hidden)
+        super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden)
         self.noise_sigma = noise_sigma
         self.name = name
 

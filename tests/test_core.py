@@ -20,7 +20,7 @@ from banditbench import (
     simple_regret,
     standard_error,
 )
-from banditbench.core import Environment, report_from_traces
+from banditbench.core import Environment, report_from_traces, rng_at, seed_at
 
 
 class TableEnv(Environment):
@@ -237,6 +237,21 @@ def test_agent_draws_do_not_perturb_reward_stream():
     t1 = run_trial(TableEnv(seed=4, horizon=30), quiet, seed=11)
     t2 = run_trial(TableEnv(seed=4, horizon=30), noisy, seed=11)
     np.testing.assert_array_equal(t1.realized_rewards, t2.realized_rewards)
+
+
+def test_seed_at_is_the_node_a_spawn_chain_reaches():
+    for root in (7, np.random.SeedSequence(7, spawn_key=(3,))):
+        parent = root if isinstance(root, np.random.SeedSequence) else np.random.SeedSequence(root)
+        _, child = parent.spawn(2)
+        _, _, grandchild = child.spawn(3)
+        node = seed_at(root, 1, 2)
+        assert node.spawn_key == grandchild.spawn_key
+        np.testing.assert_array_equal(node.generate_state(8), grandchild.generate_state(8))
+        assert rng_at(root, 1, 2).random() == np.random.default_rng(grandchild).random()
+        # building a node spawns nothing
+        assert parent.n_children_spawned == 2
+    # no path is the seed itself
+    assert rng_at(5).random() == np.random.default_rng(5).random()
 
 
 def test_cumulative_regret_sums_expected_gaps():

@@ -1,6 +1,7 @@
 """Every module under src/ and tests/ uses each name it imports, and every
 top-level definition under src/, and every member of a class there, is read
-somewhere in src/, tests/ or perfbench/.
+somewhere in src/, tests/ or perfbench/.  Only ``core`` derives random
+streams under src/.
 
 An import kept on purpose for a name the module never reads carries
 ``# noqa: F401`` on its line, as flake8 spells it.
@@ -105,3 +106,35 @@ def test_the_scan_sees_an_unread_definition():
     )
     read = read_names(source) | read_names("from m import C\nimport m\nm.K().used()\n")
     assert [n for n in definitions(source) if n not in read] == ["B", "D", "f", "unused"]
+
+
+STREAM_CALLS = {"default_rng", "SeedSequence", "spawn"}
+
+
+def stream_calls(source: str) -> list[tuple[int, str]]:
+    """The line and name of each call that derives a random stream:
+    ``default_rng``, ``SeedSequence`` or ``.spawn``, bare or as an attribute."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in STREAM_CALLS:
+                calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name != "core.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_core_derives_random_streams(path):
+    # core.seed_at and core.rng_at place every stream in the trial's seed tree
+    assert stream_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_a_derived_stream():
+    source = (
+        "import numpy as np\nfrom numpy.random import default_rng\n"
+        "rng = default_rng(0)\nkids = np.random.SeedSequence(1).spawn(2)\n"
+        "ok = isinstance(kids[0], np.random.SeedSequence)\n"
+    )
+    assert stream_calls(source) == [(3, "default_rng"), (4, "SeedSequence"), (4, "spawn")]

@@ -9,7 +9,6 @@ from banditbench import (
     BootstrapAgent,
     ConstantFeatureEnv,
     ContractViolation,
-    DropoutAgent,
     LinearConfig,
     NeuralGreedyAgent,
     NeuralLinearAgent,
@@ -84,14 +83,14 @@ def test_training_fires_on_schedule_only():
 
 def test_dropout_keep_one_matches_greedy_stream():
     greedy = NeuralGreedyAgent(3, 4, SMALL, seed=11, hidden=(6,))
-    drop = DropoutAgent(3, 4, SMALL, seed=11, p_keep=1.0, hidden=(6,))
+    drop = NeuralGreedyAgent(3, 4, SMALL, seed=11, p_keep=1.0, hidden=(6,))
     a1 = drive(greedy, 50, 3, 4, data_seed=2, rng_seed=3)
     a2 = drive(drop, 50, 3, 4, data_seed=2, rng_seed=3)
     assert a1 == a2
 
 
 def test_dropout_below_one_diverges_and_uses_decision_noise():
-    drop = DropoutAgent(3, 4, SMALL, seed=11, p_keep=0.5, hidden=(6,))
+    drop = NeuralGreedyAgent(3, 4, SMALL, seed=11, p_keep=0.5, hidden=(6,))
     feed(drop, 20, 3, 4, seed=4)
     drop.maybe_train(0)
     x = np.full(3, 0.7)
@@ -115,7 +114,8 @@ class ReferenceBootstrap:
     def __init__(self, dim, k, schedule, seed, q, p, hidden):
         children = np.random.SeedSequence(seed).spawn(q + 1)
         self.nets = [TrainableNet(dim, k, schedule, child, hidden) for child in children[:q]]
-        self.include_rng = np.random.default_rng(children[q])
+        (include,) = children[q].spawn(1)
+        self.include_rng = np.random.default_rng(include)
         self.buffer = HistoryBuffer(dim, k)
         self.rows = [[] for _ in range(q)]
         self.q, self.p = q, p
@@ -152,6 +152,30 @@ def test_bootstrap_matches_the_shared_buffer_reference_bitwise():
         np.testing.assert_array_equal(member.buffer.contexts, ref.buffer.contexts[rows])
         assert member.net.flat.dtype == net.net.flat.dtype == np.float32
         np.testing.assert_array_equal(member.net.flat, net.net.flat)
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "bootstrap(q=1, p=0.5)"])
+def test_no_two_streams_of_a_trial_share_a_seed(name, monkeypatch):
+    # every generator built while the environment and the agent are made and
+    # a trial runs (step 0 is warm-up, so nothing trains) names its node
+    built, original = [], np.random.default_rng
+
+    def recording(seed=None):
+        node = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        built.append((node.entropy, node.spawn_key))
+        return original(node)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    seed = 3
+    env = ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95, horizon=50), seed))
+    if name in PRESETS:
+        agent = get_preset(name).make(env.dim, env.num_actions, 50, seed)
+    else:
+        agent = BootstrapAgent(env.dim, env.num_actions, SMALL, seed, q=1, p=0.5, hidden=(4,))
+    run_trial(env, agent, seed, horizon=1)
+    assert len(built) >= 3  # the contexts, the reward noise and the decisions
+    repeated = sorted({node for node in built if built.count(node) > 1})
+    assert repeated == []
 
 
 def test_bootstrap_rejects_an_out_of_range_action_before_any_draw():
@@ -204,7 +228,7 @@ def test_param_noise_uses_layer_norm_and_adapts_both_ways():
     agent._adapt()
     assert agent.sigma == pytest.approx(50.0 / 1.01)
     # past the horizon the target hits zero, so sigma can only shrink
-    agent.steps_seen = 2000
+    feed(agent, 2000 - 40, 2, 3, seed=11)
     assert agent._target() == 0.0
     agent.sigma = 1e-12
     agent._adapt()
@@ -222,8 +246,6 @@ def test_neural_linear_head_dimensions_and_online_updates():
     agent = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4))
     assert agent.feature_dim == 5
     assert agent.heads.dim == 5 and agent.heads.mean.shape == (2, 5)
-    plain = NeuralLinearAgent(3, 2, SMALL, seed=4, hidden=(8, 4), bias_feature=False)
-    assert plain.feature_dim == 4
     agent.observe(Observation(context=np.ones(3), action=1, reward=2.0))
     assert agent.heads.count.tolist() == [0, 1]
     z = agent._featurize(np.ones((1, 3)))
@@ -344,8 +366,7 @@ def test_preset_overrides_apply_and_unknowns_rejected():
 
 
 # where an agent keeps a key's value under another name
-_HELD_AS = {"lambda": "ridge", "p_keep": "dropout_keep", "sigma_init": "sigma",
-            "ema_decay": "decay"}
+_HELD_AS = {"lambda": "ridge", "sigma_init": "sigma", "ema_decay": "decay"}
 
 
 def held_value(agent, key):

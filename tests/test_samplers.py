@@ -29,7 +29,7 @@ from banditbench.mlp import (
     mlp_backward,
     mlp_forward,
 )
-from banditbench.neural import DropoutAgent
+from banditbench.neural import NeuralGreedyAgent
 from banditbench.samplers import (
     DIAG_FLOOR,
     ConstSGDConfig,
@@ -474,7 +474,8 @@ class ReferenceChain:
     chain step per iteration."""
 
     def __init__(self, net, seed, ema_decay, batch_size, batches, burn_in, step):
-        _, train_ss = np.random.SeedSequence(seed).spawn(2)
+        (net_ss,) = np.random.SeedSequence(seed).spawn(1)
+        _, train_ss = net_ss.spawn(2)
         self.net = net.copy()
         self.params = self.net.parameters()
         self.decay = ema_decay
@@ -533,7 +534,8 @@ class ReferenceBBB:
 
     def __init__(self, vnet, seed, noise_sigma, lr, batch_size, batches, ramp_initial,
                  ramp_periods):
-        _, train_ss = np.random.SeedSequence(seed).spawn(2)
+        (net_ss,) = np.random.SeedSequence(seed).spawn(1)
+        _, train_ss = net_ss.spawn(2)
         self.vnet = vnet.astype(vnet.flat.dtype)
         self.mus = self.vnet.mu.parameters()
         self.rhos = self.vnet.mu.split(self.vnet.rho)
@@ -604,7 +606,7 @@ def test_training_matches_the_reference_loops_bitwise(kind):
     else:
         schedule = TrainingSchedule(10, 3, bs, lr_init=0.01, lr_decay=0.55,
                                     reset_policy="reset-each-period")
-        agent = DropoutAgent(dim, k, schedule, seed, p_keep=0.7, hidden=(8, 6))
+        agent = NeuralGreedyAgent(dim, k, schedule, seed, p_keep=0.7, hidden=(8, 6))
         ref = ReferenceDropout(agent.net, seed, schedule, 0.7)
     obs = make_observations(60, dim, k, seed=12)
     for period in range(6):
