@@ -100,6 +100,9 @@ class HistoryBuffer:
         """Store one observation and return its row index."""
         if not 0 <= obs.action < self.num_actions:
             raise ValueError(f"action {obs.action} out of range")
+        # a row assignment would broadcast a (1,)-shaped or scalar context
+        if np.shape(obs.context) != (self.dim,):
+            raise ValueError(f"context has shape {np.shape(obs.context)}, expected ({self.dim},)")
         if self._size == self._contexts.shape[0]:
             self._grow()
         i = self._size

@@ -15,6 +15,21 @@ of that layout.  Every function computes in the dtype of the parameters it is
 given: inputs, masks, targets and gradients are cast to it, and noise is drawn
 in it.  ``mlp_init`` builds float64 nets, which the gradchecks use; the agents
 train float32 copies (``neural.TRAIN_DTYPE``).
+
+A batch's arrays live in a ``Workspace``, keyed by (sizes, layer_norm, rows,
+dtype): the gathered batch, each layer's activations, the layer-norm
+statistics, dropout masks, d(loss)/d(outputs), the backward's deltas and the
+gradient vector.  ``mlp_forward``, ``mlp_backward``, ``masked_mse`` and
+``make_dropout_masks`` take one as ``workspace`` and write into it with
+``out=``; given none, each builds a fresh one for its row count and runs the
+same lines, so the gradchecks, ``mlp_predict`` and ``hidden_features``
+allocate new arrays on every call.  The one training workspace per key is
+``shared_workspace``'s, which keeps the last ``SHARED_WORKSPACES`` keys',
+and every ``neural.TrainableNet`` of that key trains on it (BootstrappedNN's
+members and BBB's sampled nets too), which is safe because training runs
+one batch at a time.  What a call returns with a workspace (outputs, masks,
+d(loss)/d(outputs), the gradient) is the workspace's own buffers, and the
+next batch of that key overwrites them.
 """
 
 from __future__ import annotations
@@ -114,48 +129,131 @@ def mlp_init(
     return net
 
 
+class Workspace:
+    """The buffers of one batch of ``rows`` rows through nets of one shape
+    (``sizes``, a tuple, and ``layer_norm``) in ``dtype``; ``mlp_forward``
+    returns it as the cache ``mlp_backward`` reads.
+
+    A workspace holds only what its calls touched.  The products' buffers
+    are None until the first product allocates them (``out=None``): each
+    hidden layer's activation ``act[l]`` (its pre-activation worked out in
+    place, then ReLU and dropout applied), the output ``out`` and the
+    backward's ``delta[l]``.  The rest are built on first read: the
+    layer-norm ``xhat[l]``, ``inv[l]`` and two row ``stats``, the gathered
+    batch ``X``, dropout's uniforms, ``masks`` and ``drop``, the backward's
+    ``active`` and ``scratch``, the gradient ``grad`` (an MLP of views over
+    one vector) and ``masked_mse``'s ``loss`` buffers.  ``x`` is the input of
+    the last forward pass and ``dropped`` says whether it applied dropout.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], layer_norm: bool, rows: int, dtype: np.dtype):
+        self.key = (sizes, layer_norm, rows, dtype)
+        self.sizes, self.layer_norm, self.rows, self.dtype = self.key
+        self.x: Optional[np.ndarray] = None
+        self.dropped = False
+        self.act: list[Optional[np.ndarray]] = [None] * (len(sizes) - 2)
+        self.delta: list[Optional[np.ndarray]] = [None] * (len(sizes) - 2)
+        self.out: Optional[np.ndarray] = None
+
+    def _hidden(self, dtype=None) -> list[np.ndarray]:
+        """One (rows, width) buffer per hidden layer."""
+        return [np.empty((self.rows, w), dtype or self.dtype) for w in self.sizes[1:-1]]
+
+    def _rows(self, width: int) -> np.ndarray:
+        return np.empty((self.rows, width), self.dtype)
+
+    xhat = functools.cached_property(_hidden)
+    masks = functools.cached_property(_hidden)
+    drop = functools.cached_property(_hidden)
+    scratch = functools.cached_property(_hidden)
+    uniforms = functools.cached_property(lambda ws: ws._hidden(np.float64))
+    active = functools.cached_property(lambda ws: ws._hidden(np.bool_))
+    inv = functools.cached_property(lambda ws: [ws._rows(1) for _ in ws.sizes[1:-1]])
+    stats = functools.cached_property(lambda ws: (ws._rows(1), ws._rows(1)))
+    X = functools.cached_property(lambda ws: ws._rows(ws.sizes[0]))
+    loss = functools.cached_property(lambda ws: _loss_buffers(ws.rows, ws.sizes[-1], ws.dtype))
+
+    @functools.cached_property
+    def grad(self) -> MLP:
+        size = param_layout(self.sizes, self.layer_norm)[-1][-1]
+        return MLP(self.sizes, np.empty(size, self.dtype), self.layer_norm)
+
+
+SHARED_WORKSPACES = 8
+
+
+@functools.lru_cache(maxsize=SHARED_WORKSPACES)
+def shared_workspace(sizes: tuple[int, ...], layer_norm: bool, rows: int,
+                     dtype: np.dtype) -> Workspace:
+    """The workspace of the process for this key, which every net that
+    trains on it shares: training runs one batch at a time, and each batch
+    writes every buffer it reads.  The last ``SHARED_WORKSPACES`` keys used
+    keep theirs (about 1 MB for a 3-100-100-5 float32 net on 512 rows, 2.6 MB
+    with dropout); an older key's is dropped and built afresh on its next
+    use.  Threads that trained nets of one key at once would each need a
+    ``Workspace`` of their own."""
+    return Workspace(sizes, layer_norm, rows, dtype)
+
+
+def _workspace(net: MLP, rows: int, workspace: Optional[Workspace]) -> Workspace:
+    """``workspace`` once it is checked to fit, or a fresh one for ``rows`` rows."""
+    if workspace is None:
+        return Workspace(net.sizes, net.layer_norm, rows, net.dtype)
+    key = (net.sizes, net.layer_norm, rows, net.dtype)
+    if workspace.key != key:
+        raise ValueError(f"a workspace for {workspace.key} cannot hold a batch of {key}")
+    return workspace
+
+
 def make_dropout_masks(
-    net: MLP, batch: int, p_keep: float, rng: np.random.Generator
+    net: MLP, batch: int, p_keep: float, rng: np.random.Generator,
+    workspace: Optional[Workspace] = None,
 ) -> list[np.ndarray]:
     """One 0/1 mask per hidden layer; each unit survives with probability p_keep."""
     if not 0.0 < p_keep <= 1.0:
         raise ValueError("p_keep must lie in (0, 1]")
-    sizes = net.sizes
-    return [
-        (rng.random((batch, sizes[l + 1])) < p_keep).astype(net.dtype)
-        for l in range(net.num_layers - 1)
-    ]
+    ws = _workspace(net, batch, workspace)
+    for uniform, mask in zip(ws.uniforms, ws.masks):
+        rng.random(out=uniform)
+        np.less(uniform, p_keep, out=mask)
+    return ws.masks
 
 
 def _hidden_layers(
     net: MLP,
     X: np.ndarray,
-    dropout_masks: Optional[list[np.ndarray]] = None,
-    p_keep: float = 1.0,
-    cache: Optional[list[dict]] = None,
-) -> np.ndarray:
-    """Post-activation output of the last hidden layer, appending each hidden
-    layer's backprop values to ``cache`` when one is given."""
+    dropout_masks: Optional[list[np.ndarray]],
+    p_keep: float,
+    workspace: Optional[Workspace],
+) -> tuple[np.ndarray, Workspace]:
+    """Post-activation output of the last hidden layer, and the workspace
+    holding every hidden layer's backprop values."""
     a = np.atleast_2d(np.asarray(X, dtype=net.dtype))
+    ws = _workspace(net, a.shape[0], workspace)
+    ws.x = a
+    ws.dropped = dropout_masks is not None
     for l in range(net.num_layers - 1):
-        z = a @ net.weights[l] + net.biases[l]
-        step = {"inp": a}
+        z = ws.act[l] = np.matmul(a, net.weights[l], out=ws.act[l])
+        np.add(z, net.biases[l], out=z)
         if net.layer_norm:
-            mu = z.mean(axis=1, keepdims=True)
-            xc = z - mu
-            var = np.mean(xc * xc, axis=1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-            xhat = xc * inv
-            z = net.gains[l] * xhat + net.shifts[l]
-            step["xhat"], step["inv"] = xhat, inv
-        a = np.maximum(z, 0.0)
+            xhat, inv, stat = ws.xhat[l], ws.inv[l], ws.stats[0]
+            np.mean(z, axis=1, keepdims=True, out=stat)
+            np.subtract(z, stat, out=z)
+            np.multiply(z, z, out=xhat)
+            np.mean(xhat, axis=1, keepdims=True, out=stat)
+            np.add(stat, LAYER_NORM_EPS, out=stat)
+            np.sqrt(stat, out=stat)
+            np.divide(1.0, stat, out=inv)
+            np.multiply(z, inv, out=xhat)
+            np.multiply(net.gains[l], xhat, out=z)
+            np.add(z, net.shifts[l], out=z)
+        np.maximum(z, 0.0, out=z)
         if dropout_masks is not None:
-            a = a * dropout_masks[l] / p_keep
-            step["drop"] = dropout_masks[l] / p_keep
-        if cache is not None:
-            step["relu"] = (z > 0).astype(net.dtype)
-            cache.append(step)
-    return a
+            np.multiply(z, dropout_masks[l], out=z)
+            np.divide(z, p_keep, out=z)
+            np.divide(dropout_masks[l], p_keep, out=ws.drop[l])
+        a = z
+    return a, ws
 
 
 def mlp_forward(
@@ -163,17 +261,18 @@ def mlp_forward(
     X: np.ndarray,
     dropout_masks: Optional[list[np.ndarray]] = None,
     p_keep: float = 1.0,
-) -> tuple[np.ndarray, list[dict]]:
+    workspace: Optional[Workspace] = None,
+) -> tuple[np.ndarray, Workspace]:
     """Batched forward pass; returns outputs (B, k) and the backprop cache.
 
     Hidden layers compute relu(layer_norm(X W + b)) with layer norm skipped
     for plain nets; dropout masks, if given, zero hidden outputs and rescale
     the survivors by 1/p_keep (inverted dropout).
     """
-    cache: list[dict] = []
-    a = _hidden_layers(net, X, dropout_masks, p_keep, cache)
-    cache.append({"inp": a})
-    return a @ net.weights[-1] + net.biases[-1], cache
+    a, ws = _hidden_layers(net, X, dropout_masks, p_keep, workspace)
+    out = ws.out = np.matmul(a, net.weights[-1], out=ws.out)
+    np.add(out, net.biases[-1], out=out)
+    return out, ws
 
 
 def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
@@ -183,40 +282,71 @@ def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
 
 def hidden_features(net: MLP, X: np.ndarray) -> np.ndarray:
     """Post-activation output of the last hidden layer (batched)."""
-    return _hidden_layers(net, X)
+    return _hidden_layers(net, X, None, 1.0, None)[0]
 
 
-def mlp_backward(net: MLP, cache: list[dict], dout: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar loss given d(loss)/d(outputs), laid out as ``net.flat``."""
-    grad = MLP(net.sizes, np.empty_like(net.flat), net.layer_norm)
-    da = np.asarray(dout, dtype=net.dtype)
+def _layer_norm_backward(net: MLP, ws: Workspace, l: int, dz: np.ndarray) -> None:
+    """Turn d(loss)/d(normalized output) ``dz`` into d(loss)/d(pre-activation)
+    in place, writing the gain and shift gradients on the way.  The order of
+    operations is that of the expression
+
+        (inv / h) * (h * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+
+    with dxhat = dz * gain and row sums."""
+    xhat, inv, dxhat = ws.xhat[l], ws.inv[l], ws.scratch[l]
+    row_sum, row_dot = ws.stats
+    np.multiply(dz, xhat, out=dxhat)
+    np.sum(dxhat, axis=0, out=ws.grad.gains[l])
+    np.sum(dz, axis=0, out=ws.grad.shifts[l])
+    np.multiply(dz, net.gains[l], out=dxhat)
+    h = xhat.shape[1]
+    np.sum(dxhat, axis=1, keepdims=True, out=row_sum)
+    np.multiply(dxhat, xhat, out=dz)
+    np.sum(dz, axis=1, keepdims=True, out=row_dot)
+    np.multiply(dxhat, h, out=dxhat)
+    np.subtract(dxhat, row_sum, out=dxhat)
+    np.multiply(xhat, row_dot, out=dz)
+    np.subtract(dxhat, dz, out=dxhat)
+    np.divide(inv, h, out=row_sum)
+    np.multiply(row_sum, dxhat, out=dz)
+
+
+def mlp_backward(net: MLP, cache: Workspace, dout: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss given d(loss)/d(outputs), laid out as ``net.flat``.
+
+    ``cache`` is the workspace of the forward pass; the gradient is its
+    ``grad.flat``."""
+    ws, grad = cache, cache.grad
+    dz = np.asarray(dout, dtype=net.dtype)
     for l in range(net.num_layers - 1, -1, -1):
-        step = cache[l]
-        dz = da
         if l < net.num_layers - 1:
-            if "drop" in step:
-                dz = dz * step["drop"]
-            dz = dz * step["relu"]
+            dz = ws.delta[l]
+            if ws.dropped:
+                np.multiply(dz, ws.drop[l], out=dz)
+            # relu(z) > 0 exactly where z > 0, and dropout has zeroed dz
+            # wherever it zeroed the activation
+            np.greater(ws.act[l], 0.0, out=ws.active[l])
+            np.multiply(dz, ws.active[l], out=dz)
             if net.layer_norm:
-                xhat, inv = step["xhat"], step["inv"]
-                np.sum(dz * xhat, axis=0, out=grad.gains[l])
-                np.sum(dz, axis=0, out=grad.shifts[l])
-                dxhat = dz * net.gains[l]
-                h = xhat.shape[1]
-                dz = (inv / h) * (
-                    h * dxhat
-                    - np.sum(dxhat, axis=1, keepdims=True)
-                    - xhat * np.sum(dxhat * xhat, axis=1, keepdims=True)
-                )
-        np.matmul(step["inp"].T, dz, out=grad.weights[l])
+                _layer_norm_backward(net, ws, l, dz)
+        inp = ws.act[l - 1] if l else ws.x
+        np.matmul(inp.T, dz, out=grad.weights[l])
         np.sum(dz, axis=0, out=grad.biases[l])
         if l > 0:
-            da = dz @ net.weights[l].T
+            ws.delta[l - 1] = np.matmul(dz, net.weights[l].T, out=ws.delta[l - 1])
     return grad.flat
 
 
+def _loss_buffers(rows: int, k: int, dtype) -> tuple[np.ndarray, ...]:
+    """``masked_mse``'s row index, per-row difference and scaled difference,
+    and d(loss)/d(outputs)."""
+    return (np.arange(rows), np.empty(rows, dtype), np.empty(rows, dtype),
+            np.empty((rows, k), dtype))
+
+
 def masked_mse(
-    outputs: np.ndarray, actions: np.ndarray, rewards: np.ndarray
+    outputs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared error on the observed action's output only.
 
@@ -225,12 +355,18 @@ def masked_mse(
     """
     outputs = np.atleast_2d(outputs)
     n = outputs.shape[0]
-    rows = np.arange(n)
+    if workspace is None:
+        rows, diff, scaled, dout = _loss_buffers(n, outputs.shape[1], outputs.dtype)
+    else:
+        rows, diff, scaled, dout = workspace.loss
     actions = np.asarray(actions, dtype=np.int64)
-    diff = outputs[rows, actions] - np.asarray(rewards, dtype=outputs.dtype)
-    loss = float(np.mean(diff * diff))
-    dout = np.zeros_like(outputs)
-    dout[rows, actions] = 2.0 * diff / n
+    # rewards are cast to the outputs' dtype before the subtraction
+    np.subtract(outputs[rows, actions], rewards, out=diff, dtype=outputs.dtype)
+    loss = float(np.mean(np.multiply(diff, diff, out=scaled)))
+    np.multiply(diff, 2.0, out=scaled)
+    np.divide(scaled, n, out=scaled)
+    dout[...] = 0.0
+    dout[rows, actions] = scaled
     return loss, dout
 
 

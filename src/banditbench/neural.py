@@ -40,6 +40,7 @@ from .linear import NIGLinearPosterior
 from .mlp import (
     RMSProp,
     TrainingSchedule,
+    Workspace,
     hidden_features,
     make_dropout_masks,
     masked_mse,
@@ -48,6 +49,7 @@ from .mlp import (
     mlp_init,
     mlp_predict,
     perturb,
+    shared_workspace,
 )
 
 DEFAULT_HIDDEN = (100, 100)
@@ -111,21 +113,32 @@ class TrainableNet(Agent):
         n = len(rewards)
         if n == 0:
             raise ValueError("cannot train on an empty history")
+        X = self.workspace.X
         loss = 0.0
         for j in range(self.schedule.batches(self.period)):
             idx = self.train_rng.integers(0, n, size=self.schedule.batch_size)
-            loss, grads = self._loss_and_grads(contexts[idx], actions[idx], rewards[idx], n)
+            X[...] = np.take(contexts, idx, axis=0)
+            loss, grads = self._loss_and_grads(X, actions[idx], rewards[idx], n)
             self._step(grads, n, j)
             self.batches_run += 1
         self.period += 1
         return loss
 
+    @property
+    def workspace(self) -> Workspace:
+        """The training workspace, shared by every net of this shape, batch
+        size and dtype (``mlp.shared_workspace``)."""
+        net = self.net
+        return shared_workspace(net.sizes, net.layer_norm, self.schedule.batch_size, net.flat.dtype)
+
     def _loss_and_grads(self, X, actions, rewards, data_count):
+        ws = self.workspace
         masks = None
         if self.p_keep is not None:
-            masks = make_dropout_masks(self.net, len(rewards), self.p_keep, self.train_rng)
-        out, cache = mlp_forward(self.net, X, masks, self.p_keep or 1.0)
-        loss, dout = masked_mse(out, actions, rewards)
+            masks = make_dropout_masks(self.net, len(rewards), self.p_keep, self.train_rng,
+                                       workspace=ws)
+        out, cache = mlp_forward(self.net, X, masks, self.p_keep or 1.0, workspace=ws)
+        loss, dout = masked_mse(out, actions, rewards, workspace=ws)
         return loss, mlp_backward(self.net, cache, dout)
 
     def _step(self, grads, data_count, batch_index) -> None:
@@ -141,8 +154,10 @@ class TrainableNet(Agent):
     def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.p_keep is None:
             return mlp_predict(self.net, context)[0]
-        masks = make_dropout_masks(self.net, 1, self.p_keep, rng)
-        return mlp_forward(self.net, context, masks, self.p_keep)[0][0]
+        net = self.net
+        ws = Workspace(net.sizes, net.layer_norm, 1, net.dtype)
+        masks = make_dropout_masks(net, 1, self.p_keep, rng, workspace=ws)
+        return mlp_forward(net, context, masks, self.p_keep, workspace=ws)[0][0]
 
     def observe(self, obs: Observation) -> None:
         self.buffer.append(obs)

@@ -29,6 +29,7 @@ from .core import SeedLike, seed_at
 from .mlp import (
     MLP,
     TrainingSchedule,
+    Workspace,
     check_shape,
     masked_mse,
     mlp_backward,
@@ -258,6 +259,8 @@ class VariationalNet:
     so the stddev starts at 5% of the prior scale.
     """
 
+    layer_norm = False  # of the nets it samples
+
     def __init__(
         self,
         sizes: Sequence[int],
@@ -320,6 +323,7 @@ def bbb_loss_and_grads(
     noise_sigma: float,
     rng: Optional[np.random.Generator] = None,
     noise: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[float, float, np.ndarray]:
     """Single-sample variational loss and its gradients.
 
@@ -327,18 +331,20 @@ def bbb_loss_and_grads(
     per-observation NLL (y - yhat)^2 / (2 sigma^2) (log-normalizer constant
     dropped).  The KL term is closed-form; only the likelihood term is
     estimated with one reparameterized weight sample.  The gradient is one
-    vector laid out as ``vnet.flat`` (mu, then rho).
+    vector laid out as ``vnet.flat`` (mu, then rho).  The sampled net's
+    batch runs in ``workspace`` when one is given (``mlp.Workspace``).
     """
     if total_count < 1:
         raise ValueError("total_count must be positive")
     if noise_sigma <= 0:
         raise ValueError("noise_sigma must be positive")
     sampled, noise = vnet.sample(rng, noise)
-    out, cache = mlp_forward(sampled, contexts)
-    mse, dmse = masked_mse(out, actions, rewards)
+    out, cache = mlp_forward(sampled, contexts, workspace=workspace)
+    mse, dmse = masked_mse(out, actions, rewards, workspace=workspace)
     scale = 1.0 / (2.0 * noise_sigma * noise_sigma)
     nll = mse * scale
-    dw = mlp_backward(sampled, cache, dmse * scale)
+    dmse *= scale
+    dw = mlp_backward(sampled, cache, dmse)
 
     sigma = vnet.stddevs()
     kl = vnet.kl_to_prior()
@@ -385,7 +391,7 @@ class BayesByBackpropAgent(TrainableNet):
     def _loss_and_grads(self, X, actions, rewards, data_count):
         loss, _, grads = bbb_loss_and_grads(
             self.net, X, actions, rewards, total_count=data_count,
-            noise_sigma=self.noise_sigma, rng=self.train_rng,
+            noise_sigma=self.noise_sigma, rng=self.train_rng, workspace=self.workspace,
         )
         return loss, grads
 

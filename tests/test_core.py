@@ -99,6 +99,17 @@ def test_history_buffer_rejects_out_of_range_action():
         buf.append(Observation(context=np.zeros(1), action=2, reward=0.0))
 
 
+@pytest.mark.parametrize("context", [np.array([5.0]), 5.0, np.zeros(4), np.zeros((1, 3))],
+                         ids=["(1,)", "scalar", "(4,)", "(1, 3)"])
+def test_history_buffer_rejects_a_context_of_the_wrong_shape(context):
+    buf = HistoryBuffer(dim=3, num_actions=2)
+    with pytest.raises(ValueError, match=r"context has shape .*, expected \(3,\)"):
+        buf.append(Observation(context=context, action=0, reward=0.0))
+    assert len(buf) == 0
+    buf.append(Observation(context=[1.0, 2.0, 3.0], action=0, reward=0.0))
+    np.testing.assert_array_equal(buf.contexts, [[1.0, 2.0, 3.0]])
+
+
 def test_observation_is_immutable():
     obs = Observation(context=np.zeros(1), action=0, reward=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from banditbench.mlp import (
+    LAYER_NORM_EPS,
     MLP,
     RESET_POLICIES,
     RMSProp,
     TrainingSchedule,
+    Workspace,
     hidden_features,
     make_dropout_masks,
     masked_mse,
@@ -19,6 +21,7 @@ from banditbench.mlp import (
     mlp_predict,
     perturb,
 )
+from banditbench.samplers import VariationalNet
 
 
 def tiny_net() -> MLP:
@@ -139,6 +142,134 @@ def test_training_math_computes_in_the_parameters_dtype(dtype):
     arrays = [out, dout, *masks, grads, opt.acc, *net.parameters(),
               *perturb(net, 0.1, rng).parameters(), hidden_features(net, X)]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
+
+def workspace_net(kind: str, dtype, rng: np.random.Generator) -> MLP:
+    sizes = (3, 6, 5, 2)
+    if kind == "bbb-sample":
+        return VariationalNet(sizes, 1.0, rng).astype(dtype).sample(rng)[0]
+    return mlp_init(sizes, rng, layer_norm=kind == "layer-norm").astype(dtype)
+
+
+def batch_pass(net, X, actions, rewards, dropout, workspace):
+    """Masks, outputs, loss, d(loss)/d(outputs) and gradient of one batch."""
+    masks = None
+    if dropout:
+        masks = make_dropout_masks(net, len(X), 0.7, np.random.default_rng(1),
+                                   workspace=workspace)
+    out, cache = mlp_forward(net, X, masks, 0.7 if dropout else 1.0, workspace=workspace)
+    loss, dout = masked_mse(out, actions, rewards, workspace=workspace)
+    return masks or [], out, loss, dout, mlp_backward(net, cache, dout)
+
+
+def reference_batch(net, X, actions, rewards, dropout):
+    """``batch_pass`` written as expressions on fresh arrays, with no
+    workspace: the same operations in the same order."""
+    masks = []
+    if dropout:
+        rng = np.random.default_rng(1)
+        masks = [(rng.random((len(X), h)) < 0.7).astype(net.dtype) for h in net.sizes[1:-1]]
+    a, cache = np.asarray(X, dtype=net.dtype), []
+    for l in range(net.num_layers - 1):
+        z = a @ net.weights[l] + net.biases[l]
+        step = {"inp": a}
+        if net.layer_norm:
+            mu = z.mean(axis=1, keepdims=True)
+            xc = z - mu
+            var = np.mean(xc * xc, axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+            xhat = xc * inv
+            z = net.gains[l] * xhat + net.shifts[l]
+            step["xhat"], step["inv"] = xhat, inv
+        a = np.maximum(z, 0.0)
+        if dropout:
+            a = a * masks[l] / 0.7
+            step["drop"] = masks[l] / 0.7
+        step["relu"] = (z > 0).astype(net.dtype)
+        cache.append(step)
+    cache.append({"inp": a})
+    out = a @ net.weights[-1] + net.biases[-1]
+    rows = np.arange(len(X))
+    diff = out[rows, actions] - np.asarray(rewards, dtype=out.dtype)
+    loss = float(np.mean(diff * diff))
+    dout = np.zeros_like(out)
+    dout[rows, actions] = 2.0 * diff / len(X)
+    grad = MLP(net.sizes, np.empty_like(net.flat), net.layer_norm)
+    da = dout
+    for l in range(net.num_layers - 1, -1, -1):
+        step, dz = cache[l], da
+        if l < net.num_layers - 1:
+            if dropout:
+                dz = dz * step["drop"]
+            dz = dz * step["relu"]
+            if net.layer_norm:
+                xhat, inv = step["xhat"], step["inv"]
+                np.sum(dz * xhat, axis=0, out=grad.gains[l])
+                np.sum(dz, axis=0, out=grad.shifts[l])
+                dxhat = dz * net.gains[l]
+                h = xhat.shape[1]
+                dz = (inv / h) * (
+                    h * dxhat
+                    - np.sum(dxhat, axis=1, keepdims=True)
+                    - xhat * np.sum(dxhat * xhat, axis=1, keepdims=True)
+                )
+        np.matmul(step["inp"].T, dz, out=grad.weights[l])
+        np.sum(dz, axis=0, out=grad.biases[l])
+        if l > 0:
+            da = dz @ net.weights[l].T
+    return masks, out, loss, dout, grad.flat
+
+
+def bits(arrays) -> list[tuple]:
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["plain", "dropout", "layer-norm", "bbb-sample"])
+def test_a_workspace_changes_no_bit_of_a_batch(kind, dtype):
+    rng = np.random.default_rng(9)
+    net = workspace_net(kind, dtype, rng)
+    rows = 7
+    X = rng.standard_normal((rows, 3))
+    actions, rewards = rng.integers(0, 2, rows), rng.standard_normal(rows)
+    dropout = kind == "dropout"
+    fresh = [batch_pass(net, X, actions, rewards, dropout, None) for _ in range(2)]
+    fresh.append(reference_batch(net, X, actions, rewards, dropout))
+    ws = Workspace(net.sizes, net.layer_norm, rows, net.dtype)
+    # another net of the shape fills every buffer first, with dropout unless
+    # the net under test uses it, so no stale value or flag may be read
+    other = mlp_init(net.sizes, rng, net.layer_norm).astype(dtype)
+    batch_pass(other, -X, actions, -rewards, not dropout, ws)
+    masks, out, loss, dout, grads = batch_pass(net, X, actions, rewards, dropout, ws)
+    for masks_, out_, loss_, dout_, grads_ in fresh:
+        assert bits(masks) + bits([out, dout, grads]) == bits(masks_) + bits([out_, dout_, grads_])
+        assert loss == loss_
+    assert {a.dtype for a in [out, dout, grads, *masks]} == {np.dtype(dtype)}
+    # with a workspace, the results are its buffers, which the next batch overwrites
+    assert out is ws.out and dout is ws.loss[-1] and grads is ws.grad.flat
+    if dropout:
+        assert all(m is w for m, w in zip(masks, ws.masks, strict=True))
+    # without one, every call gets arrays of its own, as the gradchecks assume
+    (masks_a, out_a, _, dout_a, grads_a), (masks_b, out_b, _, dout_b, grads_b) = fresh[:2]
+    for a, b in zip([*masks_a, out_a, dout_a, grads_a], [*masks_b, out_b, dout_b, grads_b],
+                    strict=True):
+        assert not np.shares_memory(a, b)
+    with pytest.raises(ValueError, match="workspace"):
+        mlp_forward(net, X[:-1], workspace=ws)
+
+
+def test_a_workspace_builds_only_the_buffers_its_calls_touch():
+    rng = np.random.default_rng(3)
+    net = mlp_init((3, 6, 5, 2), rng).astype(np.float32)
+    ws = Workspace(net.sizes, net.layer_norm, 1, net.dtype)
+    masks = make_dropout_masks(net, 1, 0.7, rng, workspace=ws)
+    assert {"uniforms", "masks"} <= vars(ws).keys()
+    assert not {"X", "grad", "loss", "drop"} & vars(ws).keys()
+    assert ws.out is None and ws.act == ws.delta == [None, None]
+    out, _ = mlp_forward(net, rng.standard_normal(3), masks, 0.7, workspace=ws)
+    assert out is ws.out and all(a.shape == (1, w) for a, w in zip(ws.act, (6, 5), strict=True))
+    assert "drop" in vars(ws) and ws.delta == [None, None]
+    assert not {"X", "grad", "loss", "xhat", "active"} & vars(ws).keys()
 
 
 def test_init_shapes_and_glorot_bounds():

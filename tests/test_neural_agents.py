@@ -1,11 +1,13 @@
 """Neural agents: determinism, exploration mechanics, and the preset registry."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from banditbench import (
+    BayesByBackpropAgent,
     BootstrapAgent,
     ConstantFeatureEnv,
     ContractViolation,
@@ -15,6 +17,7 @@ from banditbench import (
     Observation,
     ParameterNoiseAgent,
     PRESETS,
+    SGFSAgent,
     SampledLinearBandit,
     TrainingSchedule,
     WheelBandit,
@@ -71,6 +74,55 @@ def test_trainable_net_is_seed_deterministic():
     for a, b in zip(nets[0].net.parameters(), nets[1].net.parameters()):
         np.testing.assert_array_equal(a, b)
     assert nets[0].period == 1
+
+
+ONE_BATCH = TrainingSchedule(train_every=1, batches_per_period=1, batch_size=16)
+
+
+@pytest.mark.parametrize("kind", ["plain", "dropout", "layer-norm", "SGFS", "BBB"])
+def test_a_shared_workspace_carries_nothing_from_one_net_to_the_next(kind):
+    def make(seed):
+        if kind == "SGFS":
+            return SGFSAgent(3, 2, ONE_BATCH, seed, burn_in=2, hidden=(8, 8))
+        if kind == "BBB":
+            return BayesByBackpropAgent(3, 2, ONE_BATCH, seed, hidden=(8, 8))
+        return TrainableNet(3, 2, ONE_BATCH, seed, (8, 8), layer_norm=kind == "layer-norm",
+                            p_keep=0.7 if kind == "dropout" else None)
+
+    alone, paired = make(5), make(5)
+    # a net of the same shape, with dropout unless the net under test uses it
+    other = TrainableNet(3, 2, ONE_BATCH, 6, (8, 8), layer_norm=kind == "layer-norm",
+                         p_keep=None if kind == "dropout" else 0.5)
+    assert alone.workspace is paired.workspace is other.workspace
+    rng = np.random.default_rng(7)
+    X, A, R = rng.standard_normal((40, 3)), rng.integers(0, 2, 40), rng.standard_normal(40)
+    for _ in range(6):
+        alone.train_period(X, A, R)
+    for _ in range(6):  # a period is one batch: the two nets take turns
+        paired.train_period(X, A, R)
+        other.train_period(X, A, R)
+    assert alone.net.flat.dtype == np.float32
+    assert alone.net.flat.tobytes() == paired.net.flat.tobytes()
+    assert alone.net.flat.tobytes() != make(5).net.flat.tobytes()
+
+
+@pytest.mark.parametrize("agent", [NeuralLinearAgent, SGFSAgent])
+def test_a_second_training_period_allocates_less_than_one_activation(agent):
+    # the wheel's nets: 3 -> 100 -> 100 -> 5 in float32 on 512-row batches,
+    # where one hidden activation is 512 * 100 * 4 bytes
+    net = agent(3, 5, TrainingSchedule(batches_per_period=3, batch_size=512), seed=0)
+    assert net.net.sizes == (3, 100, 100, 5) and net.net.flat.dtype == np.float32
+    rng = np.random.default_rng(0)
+    X, A, R = rng.standard_normal((600, 3)), rng.integers(0, 5, 600), rng.standard_normal(600)
+    net.train_period(X, A, R)  # builds the workspace and the optimizer state
+    tracemalloc.start()
+    try:
+        net.train_period(X, A, R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.batches_run == 6
+    assert peak < 512 * 100 * 4
 
 
 def test_training_fires_on_schedule_only():
