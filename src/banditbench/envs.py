@@ -37,6 +37,7 @@ REWARD_RULES = (
     "song_gaussian",
     "financial_synthetic",
 )
+LABEL_RULES = ("classification", "mushroom", "song_gaussian")  # they read label_column
 
 MUSHROOM_EAT = 0
 MUSHROOM_SAFE_REWARD = 5.0
@@ -211,6 +212,8 @@ class DatasetSpec:
                 f"delimiter must be one character, not a quote or line break: "
                 f"{self.delimiter!r}"
             )
+        if self.label_column is None and self.reward_rule in LABEL_RULES:
+            raise ValueError(f"reward_rule {self.reward_rule!r} needs label_column")
 
     def factory(self) -> Callable[[int], DatasetBandit]:
         """Reads the file once; each seed gets its own shuffle of the rows."""

@@ -10,6 +10,8 @@ shapes run the same lines.  Two families share those statistics:
   sigma^2 ~ IG(a, b) with a = a0 + t/2 and
   b = b0 + (Y'Y - mu' P mu) / 2, then beta | sigma^2 ~ N(mu, sigma^2 P^-1).
 * ``FixedNoiseLinearPosterior``: known noise variance, beta ~ N(mu, s^2 P^-1).
+  At s^2 = 0, a point mass whose score draw x'mu draws nothing: LinGreedy
+  (``LinearGreedyAgent``) is ``LinearThompsonAgent`` there.
 
 Both support sampling from the exact joint or from a diagonal projection of
 the covariance.  ``"diag"`` keeps the marginal variances (the KL(p||q)
@@ -63,8 +65,7 @@ class _RidgePosterior:
     does not name a single arm; the next read refactors it.  The upper
     Cholesky factor R of its precision gives the mean (``cho_solve``) and
     S = R^-1 (LAPACK ``trtri``, a third of the flops of solving R S = I), so
-    S is upper-triangular only right after a refactor.  The greedy agent uses
-    this class bare, for ``mean``.
+    S is upper-triangular only right after a refactor.
     """
 
     def __init__(self, dim: int, ridge: float, *, arms: tuple = ()):
@@ -89,11 +90,16 @@ class _RidgePosterior:
         self._var = np.empty(arms + (dim,))
         self._var_stale = np.ones(arms, dtype=bool)
 
-    def update(self, x: np.ndarray, y: float, arm=()) -> None:
-        """Rank-one update of ``arm`` with a single (x, y) pair."""
+    def _row(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as one float64 context row, or ValueError."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"expected context of shape ({self.dim},)")
+        return x
+
+    def update(self, x: np.ndarray, y: float, arm=()) -> None:
+        """Rank-one update of ``arm`` with a single (x, y) pair."""
+        x = self._row(x)
         fresh = np.ndim(self._stale[arm]) == 0 and not self._stale[arm]
         if fresh:
             root = self._cov_root[arm]
@@ -179,9 +185,7 @@ class _RidgePosterior:
                     rng: np.random.Generator) -> np.ndarray:
         """x'mu + sqrt(sigma_sq * x'C x) z per arm, one normal each; C the
         chosen covariance shape, x one context row."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected context of shape ({self.dim},)")
+        x = self._row(x)
         mean = self.mean
         if approximation == "exact":
             v = x @ self._cov_root  # S'x of every arm
@@ -251,8 +255,8 @@ class NIGLinearPosterior(_RidgePosterior):
 class FixedNoiseLinearPosterior(_RidgePosterior):
     """Gaussian posterior over beta with a known noise variance.
 
-    sigma_sq = 0 gives a point mass at the ridge mean, which turns Thompson
-    sampling into the greedy rule exactly.
+    sigma_sq = 0 gives a point mass at the ridge mean, whose score draw x'mu
+    draws nothing: Thompson sampling is then the greedy rule (LinGreedy) exactly.
     """
 
     def __init__(self, dim: int, ridge: float = 0.25, sigma_sq: float = 0.25,
@@ -267,9 +271,11 @@ class FixedNoiseLinearPosterior(_RidgePosterior):
         at: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw every arm's beta, or its score x'beta at the one context row
-        ``at = x`` (one normal per arm); sigma^2 is the known noise variance."""
+        ``at = x`` (one normal per arm, none at sigma^2 = 0); sigma^2 is known."""
         sigma_sq = np.full(self.arms, self.sigma_sq)
         if at is not None:
+            if self.sigma_sq == 0.0:
+                return self.mean @ self._row(at), sigma_sq
             return self._score_draw(at, sigma_sq, approximation, rng), sigma_sq
         z = rng.standard_normal(self.arms + (self.dim,))
         return self._draw(z, sigma_sq, approximation), sigma_sq
@@ -279,10 +285,11 @@ class LinearThompsonAgent(Agent):
     """Thompson sampling with per-action Bayesian linear regression.
 
     ``sigma_sq=None`` selects the Normal-Inverse-Gamma posterior (noise
-    variance learned); a float selects the fixed-noise Gaussian posterior.
+    variance learned); a float the fixed-noise one, 0.0 its point mass (greedy).
     ``approximation`` picks the sampling covariance: exact, marginal-variance
     diagonal, or inverse-precision diagonal.  A decision draws each arm's
-    score at the context, not its coefficients (``sample(..., at=context)``).
+    score at the context, not its coefficients (``sample(..., at=context)``),
+    or, with probability ``epsilon``, a uniform action (``Agent.choose``).
     The models are homogeneous; to fit a reward baseline, build the
     environment with ``constant_feature = true`` (``ConstantFeatureEnv``).
     """
@@ -297,10 +304,13 @@ class LinearThompsonAgent(Agent):
         b0: float = 6.0,
         sigma_sq: Optional[float] = None,
         approximation: str = "exact",
+        epsilon: float = 0.0,
         name: str = "LinTS",
     ):
         if approximation not in APPROXIMATIONS:
             raise ValueError(f"approximation must be one of {APPROXIMATIONS}")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError("epsilon must lie in [0, 1]")
         if sigma_sq is None:
             self.posterior = NIGLinearPosterior(dim, ridge, a0, b0, arms=(num_actions,))
         else:
@@ -308,6 +318,8 @@ class LinearThompsonAgent(Agent):
                 dim, ridge, sigma_sq, arms=(num_actions,)
             )
         self.approximation = approximation
+        self.num_actions = num_actions
+        self.epsilon = epsilon
         self.name = name
 
     choose = Agent.choose  # perfbench's tracer patches it here; see ROADMAP item 4
@@ -319,29 +331,13 @@ class LinearThompsonAgent(Agent):
         self.posterior.update(obs.context, obs.reward, obs.action)
 
 
-class LinearGreedyAgent(Agent):
-    """Ridge-regression greedy baseline with optional epsilon exploration."""
+class LinearGreedyAgent(LinearThompsonAgent):
+    """Ridge-regression greedy baseline with optional epsilon exploration:
+    Thompson sampling under the point-mass posterior (sigma_sq = 0)."""
 
-    def __init__(
-        self,
-        dim: int,
-        num_actions: int,
-        *,
-        ridge: float = 0.25,
-        epsilon: float = 0.0,
-        name: str = "LinGreedy",
-    ):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        self.posterior = _RidgePosterior(dim, ridge, arms=(num_actions,))
-        self.num_actions = num_actions
-        self.epsilon = epsilon
-        self.name = name
+    def __init__(self, dim: int, num_actions: int, *, ridge: float = 0.25, epsilon: float = 0.0,
+                 name: str = "LinGreedy"):
+        super().__init__(dim, num_actions, ridge=ridge, sigma_sq=0.0, epsilon=epsilon, name=name)
 
-    choose = Agent.choose  # perfbench's tracer patches it here; see ROADMAP item 4
-
-    def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.posterior.mean @ context
-
-    def observe(self, obs: Observation) -> None:
-        self.posterior.update(obs.context, obs.reward, obs.action)
+    # perfbench/tracing.py patches these on this class itself; ROADMAP item 4 drops the alias
+    choose, observe = LinearThompsonAgent.choose, LinearThompsonAgent.observe

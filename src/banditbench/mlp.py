@@ -400,8 +400,8 @@ class TrainingSchedule:
     mini-batches fires every ``train_every`` decision steps.
 
     A period runs ``batches_per_period`` batches, unless ``ramp_initial`` is
-    set: then period 0 runs ``ramp_initial`` and the count falls linearly to
-    ``batches_per_period`` over ``ramp_periods`` periods (BBB's ramp).
+    set: then period 0 runs ``ramp_initial`` and the count moves linearly, down
+    or up, to ``batches_per_period`` over ``ramp_periods`` periods (BBB's ramp).
 
     ``reset_policy`` indexes i in the inverse-time learning-rate law
     lr_init / (1 + lr_decay * i): "decay-across-periods" by the global period
@@ -441,7 +441,7 @@ class TrainingSchedule:
         if self.ramp_initial is None or period >= self.ramp_periods:
             return final
         ramped = self.ramp_initial - period * (self.ramp_initial - final) / self.ramp_periods
-        return max(final, round(ramped))
+        return round(ramped)
 
     def learning_rate(self, period: int, batch_index: int) -> float:
         i = batch_index if self.reset_policy == "reset-each-period" else period

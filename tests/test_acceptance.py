@@ -12,7 +12,6 @@ import numpy as np
 from banditbench import (
     ConstantFeatureEnv,
     LinearConfig,
-    LinearGreedyAgent,
     LinearThompsonAgent,
     NIGLinearPosterior,
     Observation,
@@ -45,6 +44,7 @@ from banditbench.samplers import (
     gaussian_kl,
     softplus_inverse,
 )
+from test_linear import ReferenceGreedy
 
 
 def report(num: int, slug: str, ok: bool, detail: str, elapsed: float, bound: float):
@@ -286,7 +286,7 @@ def test_criterion_07_point_mass_posterior_replays_greedy_actions():
     for seed in range(5):
         env = SampledLinearBandit(cfg, seed)
         ts = LinearThompsonAgent(5, 4, sigma_sq=0.0)
-        greedy = LinearGreedyAgent(5, 4, epsilon=0.0)
+        greedy = ReferenceGreedy(5, 4)
         t1 = run_trial(env, ts, seed)
         t2 = run_trial(SampledLinearBandit(cfg, seed), greedy, seed)
         assert np.array_equal(t1.actions, t2.actions)

@@ -252,6 +252,7 @@ def test_build_env_factory_variants(tmp_path):
         build_env_factory(bad)
     missing = parse_config(
         "[environment]\nname=dataset\npath=/nope.csv\nreward_rule=classification\n"
+        "label_column=0\n"
     )
     with pytest.raises(ConfigError):
         build_env_factory(missing)
@@ -470,6 +471,7 @@ def test_a_bad_agent_value_fails_before_any_cell(workers, tmp_path, monkeypatch,
 
 _DATASET = "name=dataset\npath={data}\nheader=false\ncategorical_columns=\nnumeric_columns=0\n"
 _ONE_TRIAL = "trials=1\nhorizon=2"
+_LABEL_RULES = ("classification", "mushroom", "song_gaussian")
 
 
 @pytest.mark.parametrize("environment, data, run, reason", [
@@ -499,9 +501,13 @@ _ONE_TRIAL = "trials=1\nhorizon=2"
     ("name=linear\ndim=2\nnum_actions=1\nhorizon=5\ncontext_mean=9e153\nbeta_variance=1e308",
      "", "trials=10\nhorizon=2", "environment setup failed for seed 3: expected rewards must be "
      "finite: row 0 is not"),
+    # a rule that reads a label, with no label column
+    *[(_DATASET + f"reward_rule={rule}\nnum_actions=2", "1.0,a\n2.0,b\n", _ONE_TRIAL,
+       f"reward_rule '{rule}' needs label_column") for rule in _LABEL_RULES],
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
-        "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow"])
+        "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow",
+        *[f"dataset-{rule}-no-label" for rule in _LABEL_RULES]])
 def test_a_non_finite_environment_value_fails_before_any_cell(
     environment, data, run, reason, tmp_path, monkeypatch, capsys
 ):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditbench import (
+    Agent,
     FixedNoiseLinearPosterior,
     LinearConfig,
     LinearGreedyAgent,
@@ -13,6 +14,7 @@ from banditbench import (
     NIGLinearPosterior,
     Observation,
     SampledLinearBandit,
+    core,
     linear,
     run_trial,
 )
@@ -325,6 +327,10 @@ def test_a_score_draw_takes_one_row():
     post, x = _read_root_posterior("fixed")
     with pytest.raises(ValueError, match="context of shape"):
         post.sample(np.random.default_rng(0), at=np.stack([x, x]))
+    point_mass = FixedNoiseLinearPosterior(5, sigma_sq=0.0, arms=(4,))
+    for bad in (np.stack([x, x]), x[:4]):
+        with pytest.raises(ValueError, match="context of shape"):
+            point_mass.sample(np.random.default_rng(0), at=bad)
 
 
 def test_thompson_decides_on_the_score_draw():
@@ -436,10 +442,27 @@ def test_ts_tie_breaks_to_lowest_index():
     assert agent.choose(np.array([1.0, 1.0]), rng) == 0
 
 
+class ReferenceGreedy(Agent):
+    """The greedy rule written out on its own: a bare ridge posterior, the
+    argmax of its means at the context, and epsilon through ``Agent.choose``."""
+
+    name = "ReferenceGreedy"
+
+    def __init__(self, dim, num_actions, epsilon=0.0):
+        self.posterior = linear._RidgePosterior(dim, 0.25, arms=(num_actions,))
+        self.num_actions, self.epsilon = num_actions, epsilon
+
+    def sample_scores(self, context, rng):
+        return self.posterior.mean @ context
+
+    def observe(self, obs):
+        self.posterior.update(obs.context, obs.reward, obs.action)
+
+
 def test_point_mass_thompson_equals_greedy_choices():
     rng = np.random.default_rng(21)
     ts = LinearThompsonAgent(3, 4, sigma_sq=0.0, name="pm")
-    greedy = LinearGreedyAgent(3, 4, epsilon=0.0)
+    greedy = ReferenceGreedy(3, 4)
     for t in range(60):
         x = rng.standard_normal(3)
         a_ts = ts.choose(x, np.random.default_rng(t))
@@ -449,6 +472,29 @@ def test_point_mass_thompson_equals_greedy_choices():
         obs = Observation(context=x, action=a_ts, reward=r)
         ts.observe(obs)
         greedy.observe(obs)
+
+
+def test_the_point_mass_draws_nothing(monkeypatch):
+    # LinGreedy(eps=0.05) and the reference take the same epsilon draws from
+    # the decision generator and nothing else, so it ends in the same state
+    decision_rngs = []
+    rng_at = core.rng_at
+
+    def recording_rng_at(seed, *path):
+        rng = rng_at(seed, *path)
+        if path == (1,):
+            decision_rngs.append(rng)
+        return rng
+
+    monkeypatch.setattr(core, "rng_at", recording_rng_at)
+    cfg = LinearConfig(dim=5, num_actions=4, horizon=300)
+    greedy = get_preset("LinGreedy(eps=0.05)").make(5, 4, 300, 0)
+    t1 = run_trial(SampledLinearBandit(cfg, 3), greedy, 3)
+    t2 = run_trial(SampledLinearBandit(cfg, 3), ReferenceGreedy(5, 4, epsilon=0.05), 3)
+    assert np.array_equal(t1.actions, t2.actions)
+    assert np.array_equal(t1.realized_rewards, t2.realized_rewards)
+    ended = [rng.bit_generator.state for rng in decision_rngs]
+    assert ended[0] == ended[1] != rng_at(3, 1).bit_generator.state
 
 
 def test_epsilon_one_explores_uniformly():
@@ -468,6 +514,8 @@ def test_agent_constructor_validation():
         LinearThompsonAgent(2, 2, approximation="full")
     with pytest.raises(ValueError):
         LinearGreedyAgent(2, 2, epsilon=1.5)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+        LinearThompsonAgent(2, 2, epsilon=1.5)
     with pytest.raises(ValueError):
         LinearThompsonAgent(2, 0)
     with pytest.raises(TypeError):

@@ -376,6 +376,9 @@ def test_bbb_ramp_schedule():
     for period, count in expected.items():
         assert ramp.batches(period) == count
     assert TrainingSchedule(batches_per_period=7).batches(0) == 7
+    rising = TrainingSchedule(batches_per_period=100, ramp_initial=10, ramp_periods=100)
+    for period, count in {0: 10, 50: 55, 99: 99, 100: 100, 500: 100}.items():
+        assert rising.batches(period) == count
     assert TrainingSchedule(batches_per_period=7, ramp_initial=30, ramp_periods=0).batches(0) == 7
     for bad, message in [({"ramp_periods": -3}, "ramp_periods must be >= 0, got -3"),
                          ({"ramp_initial": 0}, "ramp_initial must be >= 1, got 0"),
