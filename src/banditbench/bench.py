@@ -165,8 +165,9 @@ def run_benchmark(
     reports: list[ExperimentReport] = []
     with contextlib.ExitStack() as stack:
         mapper = map
-        if config.run.workers > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(config.run.workers)
+        workers = min(config.run.workers, len(cells))  # a pool starts every worker at once
+        if workers > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(workers)
             # on a failure, drop the queued cells instead of running them all
             stack.callback(pool.shutdown, cancel_futures=True)
             mapper = pool.map

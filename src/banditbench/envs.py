@@ -214,6 +214,8 @@ class DatasetSpec:
             )
         if self.label_column is None and self.reward_rule in LABEL_RULES:
             raise ValueError(f"reward_rule {self.reward_rule!r} needs label_column")
+        if self.num_actions is not None and self.num_actions < 1:
+            raise ValueError(f"num_actions must be >= 1, got {self.num_actions}")
 
     def factory(self) -> Callable[[int], DatasetBandit]:
         """Reads the file once; each seed gets its own shuffle of the rows."""
@@ -420,6 +422,9 @@ def dataset_load(spec: DatasetSpec) -> DatasetBandit:
         M = mix_rng.standard_normal((spec.num_actions, dim)) / math.sqrt(dim)
         R = X @ M.T
 
+    if spec.num_actions is not None and spec.num_actions != R.shape[1]:
+        raise ValueError(f"num_actions={spec.num_actions}, but reward_rule {rule!r} has "
+                         f"{R.shape[1]} arms")
     name = rule if rule != "direct_columns" else "direct"
     return DatasetBandit(
         X, R, name=name, poisonous=poisonous, horizon=spec.horizon, dropped_rows=dropped

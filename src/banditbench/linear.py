@@ -265,6 +265,7 @@ class FixedNoiseLinearPosterior(_RidgePosterior):
         if sigma_sq < 0:
             raise ValueError("sigma_sq must be >= 0")
         self.sigma_sq = sigma_sq
+        self._arm_sigma_sq = np.broadcast_to(sigma_sq, arms)  # read-only, as sample returns it
 
     def sample(
         self, rng: np.random.Generator, approximation: str = "exact",
@@ -272,7 +273,7 @@ class FixedNoiseLinearPosterior(_RidgePosterior):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw every arm's beta, or its score x'beta at the one context row
         ``at = x`` (one normal per arm, none at sigma^2 = 0); sigma^2 is known."""
-        sigma_sq = np.full(self.arms, self.sigma_sq)
+        sigma_sq = self._arm_sigma_sq
         if at is not None:
             if self.sigma_sq == 0.0:
                 return self.mean @ self._row(at), sigma_sq

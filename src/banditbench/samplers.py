@@ -10,17 +10,17 @@ every weight and draws a fresh network at decision time.  All three are a
 ``neural.TrainableNet``, as the reward nets are, so they take a
 ``TrainingSchedule`` (BBB's ramp of batches is the schedule's), keep its
 history, training loop and seed tree and train in its float32; they override
-only the batch gradients, the update, and (BBB) the scores.  The
-functions here work on whole vectors laid out as a net's ``flat`` (Fisher
-diagonal, chain steps, BBB's noise and gradient), check that each has the
-parameters' shape, and compute and draw noise in their dtype.
+only the batch gradients, the update, and (BBB) the scores.  The functions
+here work on whole vectors laid out as a net's ``flat`` (Fisher diagonal, chain
+steps, BBB's noise and gradient), check that each has the parameters' shape,
+and compute and draw noise in their dtype.  The chain steps take plain numbers,
+which the agents check.  A ``VariationalNet`` builds its ``mu`` and ``rho``
+views once, and a BBB batch works out softplus(rho) once.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,18 +57,16 @@ class FisherEMA:
         self.diag += (1.0 - self.decay) * grads * grads
 
 
-@dataclass(frozen=True)
-class SGFSConfig:
-    """Step size and injected-noise scale."""
-
-    step_size: float = 0.014
-    noise_scale: float = 0.75
-
-    def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+def _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise) -> bool:
+    """The checks both chain steps make; returns whether to inject noise."""
+    if data_count < 1:
+        raise ValueError("data_count must be positive")
+    inject = not skip_noise and noise_scale > 0.0
+    if inject and rng is None:
+        raise ValueError("rng required when noise is enabled")
+    check_shape("gradient", grads, params.shape)
+    check_shape("Fisher diagonal", ema.diag, params.shape)
+    return inject
 
 
 def sgfs_step(
@@ -76,43 +74,27 @@ def sgfs_step(
     grads: np.ndarray,
     ema: FisherEMA,
     data_count: int,
-    cfg: SGFSConfig,
+    step_size: float,
+    noise_scale: float,
     rng: Optional[np.random.Generator] = None,
     skip_noise: bool = False,
 ) -> None:
     """One Fisher-scored step: theta -= eps*H*g, plus matched Gaussian noise.
 
-    H = (2/N) / ((1 + eps) * diag) elementwise, with the EMA diagonal standing
-    in for both curvature factors.  The noise term
+    H = (2/N) / ((1 + eps) * diag) elementwise, with eps the step size and
+    the EMA diagonal standing in for both curvature factors.  The noise term
     noise_scale * sqrt(eps) * H * sqrt(diag) * nu is omitted during burn-in
     (``skip_noise``) or when the noise scale is zero, in which case no random
     draws are consumed at all.
     """
-    if data_count < 1:
-        raise ValueError("data_count must be positive")
-    eps = cfg.step_size
-    inject = not skip_noise and cfg.noise_scale > 0.0
-    if inject and rng is None:
-        raise ValueError("rng required when noise is enabled")
-    check_shape("gradient", grads, params.shape)
-    check_shape("Fisher diagonal", ema.diag, params.shape)
+    inject = _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise)
+    eps = step_size
     diag = np.maximum(ema.diag, DIAG_FLOOR)
     h = (2.0 / data_count) / ((1.0 + eps) * diag)
     params -= eps * h * grads
     if inject:
         nu = rng.standard_normal(params.shape, dtype=params.dtype)
-        params += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
-
-
-@dataclass(frozen=True)
-class ConstSGDConfig:
-    """Constant-SGD preconditioning; noise_scale is off unless set."""
-
-    noise_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        params += noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
 
 
 def const_sgd_step(
@@ -121,7 +103,7 @@ def const_sgd_step(
     ema: FisherEMA,
     batch_size: int,
     data_count: int,
-    cfg: ConstSGDConfig = ConstSGDConfig(),
+    noise_scale: float = 0.0,
     rng: Optional[np.random.Generator] = None,
     skip_noise: bool = False,
 ) -> None:
@@ -131,20 +113,16 @@ def const_sgd_step(
     size under which plain SGD's stationary distribution matches the target
     scale.  An optional sqrt(eps)-shaped Gaussian term can be injected; as in
     ``sgfs_step``, it is omitted during burn-in (``skip_noise``) or when the
-    noise scale is zero, and then no random draws are consumed.
+    noise scale is zero (the default), and then no random draws are consumed.
     """
-    if data_count < 1 or batch_size < 1:
-        raise ValueError("batch_size and data_count must be positive")
-    inject = not skip_noise and cfg.noise_scale > 0.0
-    if inject and rng is None:
-        raise ValueError("rng required when noise is enabled")
-    check_shape("gradient", grads, params.shape)
-    check_shape("Fisher diagonal", ema.diag, params.shape)
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    inject = _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise)
     ratio = 2.0 * batch_size / data_count
     eps = ratio / np.maximum(ema.diag, DIAG_FLOOR)
     params -= eps * grads
     if inject:
-        params += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(
+        params += noise_scale * np.sqrt(eps) * rng.standard_normal(
             params.shape, dtype=params.dtype)
 
 
@@ -162,16 +140,20 @@ class _SGChainAgent(TrainableNet):
         num_actions: int,
         schedule: TrainingSchedule,
         seed: SeedLike,
+        noise_scale: float,
         *,
         ema_decay: float = 0.9,
         burn_in: int = 500,
         hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str,
     ):
+        if noise_scale < 0:
+            raise ValueError("noise_scale must be >= 0")
         if burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden)
         self.ema = FisherEMA(self.net.flat, ema_decay)
+        self.noise_scale = noise_scale
         self.burn_in = burn_in
         self.name = name
 
@@ -195,13 +177,15 @@ class SGFSAgent(_SGChainAgent):
         name: str = "SGFS",
         **chain,
     ):
-        super().__init__(dim, num_actions, schedule, seed, name=name, **chain)
-        self.cfg = SGFSConfig(step_size=step_size, noise_scale=noise_scale)
+        if step_size <= 0:
+            raise ValueError("step_size must be positive")
+        super().__init__(dim, num_actions, schedule, seed, noise_scale, name=name, **chain)
+        self.step_size = step_size
 
     def _step(self, grads, data_count, batch_index) -> None:
         self.ema.update(grads)
-        sgfs_step(self.net.flat, grads, self.ema, data_count, self.cfg, self.train_rng,
-                  self.burning_in())
+        sgfs_step(self.net.flat, grads, self.ema, data_count, self.step_size, self.noise_scale,
+                  self.train_rng, self.burning_in())
 
 
 class ConstSGDAgent(_SGChainAgent):
@@ -218,15 +202,14 @@ class ConstSGDAgent(_SGChainAgent):
         name: str = "ConstSGD",
         **chain,
     ):
-        super().__init__(dim, num_actions, schedule, seed, name=name, **chain)
-        self.cfg = ConstSGDConfig(noise_scale=noise_scale)
+        super().__init__(dim, num_actions, schedule, seed, noise_scale, name=name, **chain)
 
     def _step(self, grads, data_count, batch_index) -> None:
         # Burn-in for plain constant SGD means "optimize first"; the update
         # rule is the same either way unless noise injection is enabled.
         self.ema.update(grads)
         const_sgd_step(self.net.flat, grads, self.ema, self.schedule.batch_size, data_count,
-                       self.cfg, self.train_rng, self.burning_in())
+                       self.noise_scale, self.train_rng, self.burning_in())
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -273,15 +256,20 @@ class VariationalNet:
         self.sizes = tuple(int(s) for s in sizes)
         mu = mlp_init(self.sizes, rng).flat
         rho0 = softplus_inverse(0.05 * prior_sigma)
-        self.flat = np.concatenate([mu, np.full_like(mu, rho0)])
+        self._hold(np.concatenate([mu, np.full_like(mu, rho0)]))
 
-    @property
-    def mu(self) -> MLP:
-        return MLP(self.sizes, self.flat[: self.flat.size // 2])
+    def _hold(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the state, and ``mu`` and ``rho`` its halves' views."""
+        half = flat.size // 2
+        self.flat, self.mu, self.rho = flat, MLP(self.sizes, flat[:half]), flat[half:]
 
-    @property
-    def rho(self) -> np.ndarray:
-        return self.flat[self.flat.size // 2:]
+    def __getstate__(self):
+        return self.sizes, self.prior_sigma, self.flat
+
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle rebuild the views from the one vector
+        self.sizes, self.prior_sigma, flat = state
+        self._hold(flat)
 
     def split(self, vector: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a vector laid out as ``flat``: mu's, then rho's."""
@@ -290,8 +278,8 @@ class VariationalNet:
 
     def astype(self, dtype) -> "VariationalNet":
         """A copy with mu and rho cast to ``dtype``."""
-        cast = copy.copy(self)
-        cast.flat = self.flat.astype(dtype)
+        cast = VariationalNet.__new__(VariationalNet)
+        cast.__setstate__((self.sizes, self.prior_sigma, self.flat.astype(dtype)))
         return cast
 
     def stddevs(self) -> np.ndarray:
@@ -305,13 +293,17 @@ class VariationalNet:
         noise: Optional[np.ndarray] = None,
     ) -> tuple[MLP, np.ndarray]:
         """Draw a concrete network; returns it with the noise used."""
+        return self._sample(self.stddevs(), rng, noise)
+
+    def _sample(self, sigma, rng, noise) -> tuple[MLP, np.ndarray]:
+        """``sample`` with the stddevs ``sigma`` already worked out."""
         mu = self.mu.flat
         if noise is None:
             if rng is None:
                 raise ValueError("either rng or noise must be given")
             noise = rng.standard_normal(mu.size, dtype=mu.dtype)
         check_shape("noise", noise, mu.shape)
-        return MLP(self.sizes, mu + self.stddevs() * noise), noise
+        return MLP(self.sizes, mu + sigma * noise), noise
 
 
 def bbb_loss_and_grads(
@@ -338,7 +330,8 @@ def bbb_loss_and_grads(
         raise ValueError("total_count must be positive")
     if noise_sigma <= 0:
         raise ValueError("noise_sigma must be positive")
-    sampled, noise = vnet.sample(rng, noise)
+    mu, sigma = vnet.mu.flat, vnet.stddevs()
+    sampled, noise = vnet._sample(sigma, rng, noise)
     out, cache = mlp_forward(sampled, contexts, workspace=workspace)
     mse, dmse = masked_mse(out, actions, rewards, workspace=workspace)
     scale = 1.0 / (2.0 * noise_sigma * noise_sigma)
@@ -346,12 +339,11 @@ def bbb_loss_and_grads(
     dmse *= scale
     dw = mlp_backward(sampled, cache, dmse)
 
-    sigma = vnet.stddevs()
-    kl = vnet.kl_to_prior()
+    kl = gaussian_kl(mu, sigma, vnet.prior_sigma)
     loss = kl / total_count + nll
     pvar = vnet.prior_sigma * vnet.prior_sigma
     gate = 1.0 / (1.0 + np.exp(-vnet.rho))  # d softplus / d rho
-    dmu = dw + (vnet.mu.flat / pvar) / total_count
+    dmu = dw + (mu / pvar) / total_count
     dkl_dsigma = (-1.0 / sigma + sigma / pvar) / total_count
     drho = (dw * noise + dkl_dsigma) * gate
     return loss, kl, np.concatenate([dmu, drho])

@@ -37,7 +37,6 @@ from banditbench.mlp import (
 )
 from banditbench.presets import get_preset
 from banditbench.samplers import (
-    ConstSGDConfig,
     FisherEMA,
     SGFSAgent,
     VariationalNet,
@@ -401,7 +400,7 @@ def test_criterion_11_sampler_guarantees():
     ema = FisherEMA(theta)
     ema.diag = np.array([4.0 * lam])
     for _ in range(40):
-        const_sgd_step(theta, lam * theta.copy(), ema, 8, 8, ConstSGDConfig())
+        const_sgd_step(theta, lam * theta.copy(), ema, 8, 8)
     const_ok = abs(theta[0]) < 1e-6
 
     kl_zero = gaussian_kl(np.zeros(7), np.full(7, 0.3), 0.3)

@@ -395,6 +395,35 @@ def test_parallel_workers_match_serial(tmp_path):
             np.testing.assert_array_equal(ts.realized_rewards, tp.realized_rewards)
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("workers, trials, pool", [(8, 2, 4), (3, 2, 3), (2, 1, 2), (9, 1, 2)])
+def test_the_pool_has_no_more_workers_than_cells(workers, trials, pool, monkeypatch):
+    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    base = ("[environment]\nname=wheel\ndelta=0.5\nhorizon=20\n"
+            f'[agent "LinGreedy"]\n[run]\ntrials={trials}\nseed=0\nworkers={{w}}\n')
+    pooled = run_benchmark(parse_config(base.format(w=workers)))
+    assert _SerialPool.sizes == [pool]  # LinGreedy's and Uniform's trials
+    serial = run_benchmark(parse_config(base.format(w=1)))
+    assert _SerialPool.sizes == [pool]
+    for rp, rs in zip(pooled.reports, serial.reports, strict=True):
+        np.testing.assert_array_equal(rp.cum_regrets, rs.cum_regrets)
+
+
 def _logged_trial(log, run_trial, env, agent, seed, *args):
     with log.open("a", encoding="utf-8") as fh:
         fh.write(f"{agent.name} {seed}\n")
@@ -430,6 +459,9 @@ def test_a_failure_cancels_the_queued_cells(first, tmp_path, monkeypatch):
 _BAD_AGENT_VALUES = [
     ("SGFS", "burn_in=-1", "burn_in must be >= 0"),
     ("SGFS", "step_size=nan", "step_size must be finite, got nan"),
+    ("SGFS", "step_size=0", "step_size must be positive"),
+    ("SGFS", "noise_scale=-1", "noise_scale must be >= 0"),
+    ("ConstSGD", "noise_scale=-1", "noise_scale must be >= 0"),
     ("LinPost", "ridge=nan", "ridge must be finite, got nan"),
     ("Dropout", "p_keep=1.5", "p_keep must lie in (0, 1], got 1.5"),
     ("Dropout", "p_keep=0", "p_keep must lie in (0, 1], got 0.0"),
@@ -504,10 +536,19 @@ _LABEL_RULES = ("classification", "mushroom", "song_gaussian")
     # a rule that reads a label, with no label column
     *[(_DATASET + f"reward_rule={rule}\nnum_actions=2", "1.0,a\n2.0,b\n", _ONE_TRIAL,
        f"reward_rule '{rule}' needs label_column") for rule in _LABEL_RULES],
+    # a num_actions the rule would not use
+    (_DATASET + "reward_rule=classification\nlabel_column=1\nnum_actions=0",
+     "1.0,a\n2.0,b\n3.0,c\n", _ONE_TRIAL, "num_actions must be >= 1, got 0"),
+    (_DATASET + "reward_rule=direct_columns\nreward_columns=1,2\nnum_actions=5",
+     "1.0,0.5,1.0\n2.0,0.0,1.0\n", _ONE_TRIAL,
+     "num_actions=5, but reward_rule 'direct_columns' has 2 arms"),
+    (_DATASET + "reward_rule=mushroom\nlabel_column=1\nnum_actions=3", "1.0,e\n2.0,p\n",
+     _ONE_TRIAL, "num_actions=3, but reward_rule 'mushroom' has 2 arms"),
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
         "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow",
-        *[f"dataset-{rule}-no-label" for rule in _LABEL_RULES]])
+        *[f"dataset-{rule}-no-label" for rule in _LABEL_RULES],
+        "dataset-num_actions-0", "dataset-direct-num_actions", "dataset-mushroom-num_actions"])
 def test_a_non_finite_environment_value_fails_before_any_cell(
     environment, data, run, reason, tmp_path, monkeypatch, capsys
 ):

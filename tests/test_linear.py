@@ -352,6 +352,16 @@ def test_noise_variance_sampling_mean():
     assert np.mean(draws) == pytest.approx(post.b / (post.a - 1), rel=0.03)
 
 
+def test_the_fixed_noise_variances_are_built_once_and_read_only():
+    post = FixedNoiseLinearPosterior(3, sigma_sq=0.25, arms=(4,))
+    rng, x = np.random.default_rng(0), np.ones(3)
+    first = post.sample(rng)[1]
+    np.testing.assert_array_equal(first, np.full(4, 0.25))
+    assert post.sample(rng, at=x)[1] is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+
+
 def test_point_mass_posterior_returns_mean_bitwise():
     rng = np.random.default_rng(0)
     post = FixedNoiseLinearPosterior(3, ridge=0.25, sigma_sq=0.0)

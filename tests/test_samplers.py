@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from banditbench import (
     const_sgd_step,
     get_preset,
     run_trial,
+    samplers,
     sgfs_step,
 )
 from banditbench.bench import setup_run
@@ -32,8 +34,6 @@ from banditbench.mlp import (
 from banditbench.neural import NeuralGreedyAgent
 from banditbench.samplers import (
     DIAG_FLOOR,
-    ConstSGDConfig,
-    SGFSConfig,
     gaussian_kl,
     softplus,
     softplus_inverse,
@@ -66,20 +66,19 @@ def test_fisher_ema_update_formula():
 
 def test_sgfs_step_noise_free_formula():
     theta = np.array([1.0])
-    cfg = SGFSConfig(step_size=0.2, noise_scale=0.0)
     ema = frozen_ema(1.0)
-    sgfs_step(theta, np.array([4.0]), ema, data_count=1, cfg=cfg)
+    sgfs_step(theta, np.array([4.0]), ema, data_count=1, step_size=0.2, noise_scale=0.0)
     h = 2.0 / 1.2
     np.testing.assert_allclose(theta, [1.0 - 0.2 * h * 4.0])
 
 
 def test_sgfs_step_noise_term_matches_manual_draw():
-    cfg = SGFSConfig(step_size=0.04, noise_scale=0.75)
     theta = np.array([0.5, -0.5])
     grad = np.array([1.0, 2.0])
     ema = FisherEMA(np.zeros(2))
     ema.diag = np.array([0.25, 4.0])
-    sgfs_step(theta, grad, ema, data_count=10, cfg=cfg, rng=np.random.default_rng(42))
+    sgfs_step(theta, grad, ema, data_count=10, step_size=0.04, noise_scale=0.75,
+              rng=np.random.default_rng(42))
     nu = np.random.default_rng(42).standard_normal(2)
     h = (2.0 / 10) / (1.04 * np.array([0.25, 4.0]))
     expect = (
@@ -91,42 +90,42 @@ def test_sgfs_step_noise_term_matches_manual_draw():
 
 
 def test_sgfs_skip_noise_consumes_no_randomness():
-    cfg = SGFSConfig(step_size=0.1, noise_scale=0.75)
     rng = np.random.default_rng(5)
     theta = np.array([1.0])
-    sgfs_step(theta, np.array([1.0]), frozen_ema(1.0), 1, cfg, rng, skip_noise=True)
+    sgfs_step(theta, np.array([1.0]), frozen_ema(1.0), 1, 0.1, 0.75, rng, skip_noise=True)
     assert rng.standard_normal() == np.random.default_rng(5).standard_normal()
 
 
 def test_sgfs_step_validation():
-    with pytest.raises(ValueError):
-        SGFSConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        SGFSConfig(noise_scale=-0.1)
+    schedule = TrainingSchedule(10, 1, 4)
+    with pytest.raises(ValueError, match="^step_size must be positive$"):
+        SGFSAgent(2, 2, schedule, 0, step_size=0.0)
+    for agent in (SGFSAgent, ConstSGDAgent):
+        with pytest.raises(ValueError, match="^noise_scale must be >= 0$"):
+            agent(2, 2, schedule, 0, noise_scale=-0.1)
     theta = np.array([1.0])
     with pytest.raises(ValueError):
-        sgfs_step(theta, theta, frozen_ema(1.0), 0, SGFSConfig())
+        sgfs_step(theta, theta, frozen_ema(1.0), 0, 0.014, 0.75)
     with pytest.raises(ValueError):
-        sgfs_step(theta, theta, frozen_ema(1.0), 1, SGFSConfig(noise_scale=0.5))
+        sgfs_step(theta, theta, frozen_ema(1.0), 1, 0.014, 0.5)
     # a length-1 gradient or EMA would broadcast over every parameter
     pair = np.array([1.0, 2.0])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sgfs_step(pair, theta, FisherEMA(pair), 1, SGFSConfig(), rng)
+        sgfs_step(pair, theta, FisherEMA(pair), 1, 0.014, 0.75, rng)
     with pytest.raises(ValueError):
-        sgfs_step(pair, pair, frozen_ema(1.0), 1, SGFSConfig(), rng)
+        sgfs_step(pair, pair, frozen_ema(1.0), 1, 0.014, 0.75, rng)
     np.testing.assert_array_equal(pair, [1.0, 2.0])
 
 
 def sgfs_chain_variance(eps: float, steps: int = 20000) -> float:
     """Stationary variance of the 1-d chain on loss 2*theta^2 (lambda = 4)."""
-    cfg = SGFSConfig(step_size=eps, noise_scale=1.0)
     ema = frozen_ema(1.0)
     rng = np.random.default_rng(0)
     theta = np.array([0.0])
     out = np.empty(steps)
     for i in range(steps):
-        sgfs_step(theta, 4.0 * theta, ema, 1, cfg, rng)
+        sgfs_step(theta, 4.0 * theta, ema, 1, eps, 1.0, rng)
         out[i] = theta[0]
     return float(np.var(out[steps // 5:]))
 
@@ -150,7 +149,7 @@ def test_const_sgd_step_formula():
     with pytest.raises(ValueError):
         const_sgd_step(theta, theta, ema, 0, 8)
     with pytest.raises(ValueError):
-        const_sgd_step(theta, theta, ema, 2, 8, ConstSGDConfig(noise_scale=0.5))
+        const_sgd_step(theta, theta, ema, 2, 8, noise_scale=0.5)
     # a length-1 gradient or EMA would broadcast over every parameter
     pair = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -158,8 +157,6 @@ def test_const_sgd_step_formula():
     with pytest.raises(ValueError):
         const_sgd_step(pair, pair, ema, 2, 8)
     np.testing.assert_array_equal(pair, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        ConstSGDConfig(noise_scale=-1.0)
 
 
 def test_const_sgd_contracts_convex_quadratic():
@@ -304,11 +301,35 @@ def test_variational_net_kl_and_sampling():
     for bad in (np.ones(1), np.ones(half + 1), np.ones((half, 1))):
         with pytest.raises(ValueError):
             vnet.sample(noise=bad)
-    for dup in (vnet.astype(np.float32), copy.deepcopy(vnet)):
+    for dup in (vnet.astype(np.float32), copy.deepcopy(vnet), pickle.loads(pickle.dumps(vnet))):
         assert not np.shares_memory(dup.flat, vnet.flat)
         assert np.shares_memory(dup.mu.flat, dup.flat) and np.shares_memory(dup.rho, dup.flat)
+        assert (dup.sizes, dup.prior_sigma) == (vnet.sizes, vnet.prior_sigma)
+        np.testing.assert_array_equal(dup.flat, vnet.flat.astype(dup.flat.dtype))
     with pytest.raises(ValueError):
         VariationalNet([2, 3], prior_sigma=0.0, rng=np.random.default_rng(0))
+
+
+def test_bbb_works_out_softplus_once_per_batch_on_views_built_once(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return softplus(x)
+
+    agent = BayesByBackpropAgent(2, 2, TrainingSchedule(10, 3, 8), 5, hidden=(4,))
+    for o in make_observations(20, 2, 2, seed=6):
+        agent.observe(o)
+    vnet = agent.net
+    assert vnet.mu is vnet.mu and vnet.rho is vnet.rho
+    mu_before, rho_before = vnet.mu.flat.copy(), vnet.rho.copy()
+    monkeypatch.setattr(samplers, "softplus", counted)
+    agent.train_period(agent.buffer.contexts, agent.buffer.actions, agent.buffer.rewards)
+    assert calls == [vnet.rho.size] * 3
+    # the optimizer steps flat, and the stored views show the step
+    assert not np.array_equal(vnet.mu.flat, mu_before)
+    assert not np.array_equal(vnet.rho, rho_before)
+    np.testing.assert_array_equal(vnet.flat, np.concatenate([vnet.mu.flat, vnet.rho]))
 
 
 def test_bbb_gradients_match_finite_differences():
@@ -447,27 +468,27 @@ class ReferenceRMSProp:
             p -= lr * g / np.sqrt(a + self.eps)
 
 
-def reference_sgfs_step(cfg):
+def reference_sgfs_step(step_size, noise_scale):
     def step(params, grads, diags, n, rng, skip):
-        eps = cfg.step_size
+        eps = step_size
         for p, g, d in zip(params, grads, diags, strict=True):
             diag = np.maximum(d, DIAG_FLOOR)
             h = (2.0 / n) / ((1.0 + eps) * diag)
             p -= eps * h * g
             if not skip:
                 nu = rng.standard_normal(p.shape, dtype=p.dtype)
-                p += cfg.noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
+                p += noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
     return step
 
 
-def reference_const_sgd_step(cfg, batch_size):
+def reference_const_sgd_step(noise_scale, batch_size):
     def step(params, grads, diags, n, rng, skip):
         ratio = 2.0 * batch_size / n
         for p, g, d in zip(params, grads, diags, strict=True):
             eps = ratio / np.maximum(d, DIAG_FLOOR)
             p -= eps * g
             if not skip:
-                p += cfg.noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape, dtype=p.dtype)
+                p += noise_scale * np.sqrt(eps) * rng.standard_normal(p.shape, dtype=p.dtype)
     return step
 
 
@@ -596,12 +617,12 @@ def test_training_matches_the_reference_loops_bitwise(kind):
         agent = SGFSAgent(dim, k, TrainingSchedule(10, 3, bs), seed, noise_scale=0.75,
                           burn_in=4, hidden=hidden)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 4,
-                             reference_sgfs_step(SGFSConfig(noise_scale=0.75)))
+                             reference_sgfs_step(0.014, 0.75))
     elif kind == "ConstSGD":
         agent = ConstSGDAgent(dim, k, TrainingSchedule(10, 3, bs), seed, noise_scale=0.3,
                               burn_in=2, hidden=hidden)
         ref = ReferenceChain(agent.net, seed, 0.9, bs, 3, 2,
-                             reference_const_sgd_step(ConstSGDConfig(noise_scale=0.3), bs))
+                             reference_const_sgd_step(0.3, bs))
     elif kind == "BBB":
         schedule = TrainingSchedule(10, 2, bs, lr_init=0.02, ramp_initial=6, ramp_periods=3)
         agent = BayesByBackpropAgent(dim, k, schedule, seed, hidden=hidden)
