@@ -168,7 +168,7 @@ class Agent(abc.ABC):
         # a Python pass over k scores costs a third of numpy's reduction
         if not all(map(math.isfinite, scores.ravel().tolist())):
             raise ContractViolation(f"agent {self.name!r} produced non-finite scores {scores}")
-        return np.argmax(scores, axis=-1)
+        return scores.argmax(axis=-1)
 
 
 class Environment:

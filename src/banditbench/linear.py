@@ -23,7 +23,11 @@ means stay the exact ridge means.
 Each arm carries a covariance root S (S S' = precision^-1) and its mean.  A
 single observation updates both in O(d^2); a batch update, or an arm's
 first read, refactors the precision, so S is upper-triangular only right
-after a refactor.
+after a refactor.  Between refactors nothing reads the dense precision, so
+a single row of a fresh arm is only recorded, and the precision lags until
+something reads it (a stale arm's refactor, ``batch_update``, the
+``precision`` property); its diagonal, which ``"precision_diag"`` draws
+read, is kept current.
 
 A Thompson decision needs only each arm's score x'beta at the context x.
 Given sigma^2 that score is N(x'mu, sigma^2 x'C x), independently across
@@ -66,6 +70,14 @@ class _RidgePosterior:
     Cholesky factor R of its precision gives the mean (``cho_solve``) and
     S = R^-1 (LAPACK ``trtri``, a third of the flops of solving R S = I), so
     S is upper-triangular only right after a refactor.
+
+    A fresh arm's single rows are recorded in one growing block instead of
+    added to the dense precision, which no draw reads; ``precision`` adds
+    them, in the order they came, before anything reads it, so its bits are
+    those of adding each row at once.  The precision's diagonal is kept
+    current row by row, and the "diag" variances are refreshed, when read,
+    only for the arms an update or a refactor changed.  ``arm`` is any index
+    of ``_stale``; an index of one arm must be hashable (an int or a tuple).
     """
 
     def __init__(self, dim: int, ridge: float, *, arms: tuple = ()):
@@ -79,16 +91,22 @@ class _RidgePosterior:
         self.dim = dim
         self.ridge = ridge
         self.arms = arms
-        self.precision = np.broadcast_to(np.eye(dim) * ridge, arms + (dim, dim)).copy()
+        self._precision = np.broadcast_to(np.eye(dim) * ridge, arms + (dim, dim)).copy()
+        self._precision_diag = np.diagonal(self._precision, axis1=-2, axis2=-1).copy()
+        # single rows of fresh arms not yet added to _precision, in order
+        self._rows = np.empty((0, dim))
+        self._row_arms: list = []
         self.bvec = np.zeros(arms + (dim,))
         self.yy = np.zeros(arms)
         self.count = np.zeros(arms, dtype=np.int64)
         self._stale = np.ones(arms, dtype=bool)
+        self._any_stale = True  # whether _stale has a set entry
         self._mean = np.empty(arms + (dim,))
         self._cov_root = np.empty(arms + (dim, dim))
-        # marginal variances (the "diag" projection), refreshed when read
+        # marginal variances (the "diag" projection), refreshed when read for
+        # the arms named in _var_stale
         self._var = np.empty(arms + (dim,))
-        self._var_stale = np.ones(arms, dtype=bool)
+        self._var_stale = set(np.ndindex(arms))
 
     def _row(self, x: np.ndarray) -> np.ndarray:
         """``x`` as one float64 context row, or ValueError."""
@@ -109,7 +127,16 @@ class _RidgePosterior:
             if not (math.isfinite(s) and math.isfinite(innovation)):
                 raise ValueError(f"update of arm {arm} is not finite: "
                                  f"x'P^-1 x = {s}, innovation {innovation}")
-        self.precision[arm] += x[:, None] * x
+            n = len(self._row_arms)
+            if n == len(self._rows):
+                grown = np.empty((max(16, 2 * n), self.dim))
+                grown[:n] = self._rows
+                self._rows = grown
+            self._rows[n] = x
+            self._row_arms.append(arm)
+        else:
+            self.precision[arm] += x[:, None] * x
+        self._precision_diag[arm] += x * x
         self.bvec[arm] += x * y
         self.yy[arm] += y * y
         self.count[arm] += 1
@@ -118,9 +145,10 @@ class _RidgePosterior:
             r = math.sqrt(1.0 + s)
             root -= (w / (r * (r + 1.0)))[:, None] * v
             self._mean[arm] += w * (innovation / (1.0 + s))
-            self._var_stale[arm] = True
+            self._var_stale.add(arm)
         else:
             self._stale[arm] = True
+            self._any_stale = True
 
     def batch_update(self, X: np.ndarray, Y: np.ndarray, arm=()) -> None:
         """Absorb a whole design matrix into ``arm``; equivalent to repeated update."""
@@ -128,15 +156,28 @@ class _RidgePosterior:
         Y = np.asarray(Y, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim or X.shape[0] != Y.shape[0]:
             raise ValueError("X must be (n, dim) and Y (n,)")
-        self.precision[arm] += X.T @ X
+        precision = self.precision
+        precision[arm] += X.T @ X
+        self._precision_diag[arm] = np.diagonal(precision[arm], axis1=-2, axis2=-1)
         self.bvec[arm] += X.T @ Y
         self.yy[arm] += float(Y @ Y)
         self.count[arm] += X.shape[0]
         self._stale[arm] = True
+        self._any_stale = True
+
+    @property
+    def precision(self) -> np.ndarray:
+        """X'X + lambda*I per arm, after the recorded rows are added to it in
+        the order they came, as ``update`` would have added them."""
+        if self._row_arms:
+            for arm, x in zip(self._row_arms, self._rows):
+                self._precision[arm] += x[:, None] * x
+            self._row_arms.clear()
+        return self._precision
 
     def _factor(self) -> None:
         """Refactor the covariance root and mean of every stale arm."""
-        if not self._stale.any():
+        if not self._any_stale:
             return
         for arm in map(tuple, np.argwhere(self._stale)):
             R = cholesky(self.precision[arm], lower=False)
@@ -146,7 +187,8 @@ class _RidgePosterior:
                 raise LinAlgError(f"triangular inverse failed (trtri info {info})")
             self._cov_root[arm] = U
             self._stale[arm] = False
-            self._var_stale[arm] = True
+            self._var_stale.add(arm)
+        self._any_stale = False
 
     @property
     def mean(self) -> np.ndarray:
@@ -163,13 +205,12 @@ class _RidgePosterior:
         """Per-coordinate variances of the named diagonal projection."""
         if approximation == "diag":
             self._factor()
-            changed = self._var_stale
-            if changed.any():
-                self._var[changed] = np.sum(self._cov_root[changed] ** 2, axis=-1)
-                changed[...] = False
+            for arm in self._var_stale:
+                self._var[arm] = np.sum(self._cov_root[arm] ** 2, axis=-1)
+            self._var_stale.clear()
             return self._var
         if approximation == "precision_diag":
-            return 1.0 / np.diagonal(self.precision, axis1=-2, axis2=-1)
+            return 1.0 / self._precision_diag
         raise ValueError(f"unknown approximation {approximation!r}")
 
     def _draw(self, z: np.ndarray, sigma_sq: np.ndarray, approximation: str) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Conjugate linear posteriors: exact math, projections, and the agents."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +243,123 @@ def test_b_stays_positive_on_exactly_linear_data():
             post.update(x, float(x @ w))
         assert np.isfinite(post.b)
         assert post.b >= 6.0
+
+
+class EagerRidge:
+    """The ridge statistics updated eagerly, written out on its own: every
+    row is added to the dense precision at once, a read refactors the stale
+    arms, and the marginal variances of every changed arm are refreshed in
+    one masked gather.  The Normal-Inverse-Gamma ``b`` uses prior b0."""
+
+    def __init__(self, dim, ridge, arms, b0):
+        self.precision = np.broadcast_to(np.eye(dim) * ridge, arms + (dim, dim)).copy()
+        self.bvec, self.yy = np.zeros(arms + (dim,)), np.zeros(arms)
+        self.count = np.zeros(arms, dtype=np.int64)
+        self.stale, self.var_stale = np.ones(arms, dtype=bool), np.ones(arms, dtype=bool)
+        self._mean, self.root = np.empty(arms + (dim,)), np.empty(arms + (dim, dim))
+        self.var, self.b0 = np.empty(arms + (dim,)), b0
+
+    def update(self, x, y, arm):
+        fresh = np.ndim(self.stale[arm]) == 0 and not self.stale[arm]
+        if fresh:
+            root = self.root[arm]
+            v = x @ root
+            s = v @ v
+            innovation = y - x @ self._mean[arm]
+        self.precision[arm] += x[:, None] * x
+        self.bvec[arm] += x * y
+        self.yy[arm] += y * y
+        self.count[arm] += 1
+        if fresh:
+            w = root @ v
+            r = math.sqrt(1.0 + s)
+            root -= (w / (r * (r + 1.0)))[:, None] * v
+            self._mean[arm] += w * (innovation / (1.0 + s))
+            self.var_stale[arm] = True
+        else:
+            self.stale[arm] = True
+
+    def batch_update(self, X, Y, arm):
+        self.precision[arm] += X.T @ X
+        self.bvec[arm] += X.T @ Y
+        self.yy[arm] += float(Y @ Y)
+        self.count[arm] += X.shape[0]
+        self.stale[arm] = True
+
+    @property
+    def mean(self):
+        for arm in map(tuple, np.argwhere(self.stale)):
+            R = scipy.linalg.cholesky(self.precision[arm], lower=False)
+            self._mean[arm] = scipy.linalg.cho_solve((R, False), self.bvec[arm])
+            self.root[arm] = scipy.linalg.lapack.dtrtri(R, lower=0)[0]
+            self.stale[arm] = False
+            self.var_stale[arm] = True
+        return self._mean
+
+    def diagonal(self, approximation):
+        if approximation == "precision_diag":
+            return 1.0 / np.diagonal(self.precision, axis1=-2, axis2=-1)
+        self.mean
+        changed = self.var_stale
+        if changed.any():
+            self.var[changed] = np.sum(self.root[changed] ** 2, axis=-1)
+            changed[...] = False
+        return self.var
+
+    @property
+    def b(self):
+        quad = self.yy - np.einsum("...i,...i->...", self.mean, self.bvec)
+        return self.b0 + 0.5 * np.maximum(quad, 0.0)
+
+
+def _assert_same_posterior(post, ref):
+    """Every statistic and read of ``post`` equals ``ref``'s bit for bit."""
+    for approximation in ("diag", "precision_diag"):
+        np.testing.assert_array_equal(post.covariance_diagonal(approximation),
+                                      ref.diagonal(approximation), strict=True)
+    for got, want in ((post.precision, ref.precision), (post.mean, ref.mean),
+                      (post._cov_root, ref.root), (post.b, ref.b), (post.bvec, ref.bvec),
+                      (post.yy, ref.yy), (post.count, ref.count)):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+POSTERIOR_OPS = ("row", "row", "row", "row", "all-arms row", "batch", "mean", "diag",
+                 "precision_diag", "precision")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    arms=st.integers(1, 4),
+    ops=st.lists(st.sampled_from(POSTERIOR_OPS), max_size=60),
+)
+def test_recorded_rows_leave_every_read_as_eager_updates_do(seed, dim, arms, ops):
+    # A fresh arm's single rows are recorded and reach the dense precision
+    # only when something reads it; no read may see a bit of difference.
+    rng = np.random.default_rng(seed)
+    post = NIGLinearPosterior(dim, arms=(arms,))
+    ref = EagerRidge(dim, 0.25, (arms,), post.b0)
+    for op in ops:
+        arm = int(rng.integers(arms))
+        if op in ("row", "all-arms row"):
+            x, y = rng.standard_normal(dim) + 2.0, float(rng.standard_normal())
+            arm = slice(None) if op == "all-arms row" else arm
+            post.update(x, y, arm)
+            ref.update(x, y, arm)
+        elif op == "batch":
+            X = rng.standard_normal((int(rng.integers(4)), dim)) + 2.0
+            Y = rng.standard_normal(len(X))
+            post.batch_update(X, Y, arm)
+            ref.batch_update(X, Y, arm)
+        elif op == "mean":
+            np.testing.assert_array_equal(post.mean, ref.mean, strict=True)
+        elif op == "precision":
+            np.testing.assert_array_equal(post.precision, ref.precision, strict=True)
+        else:
+            np.testing.assert_array_equal(post.covariance_diagonal(op), ref.diagonal(op),
+                                          strict=True)
+    _assert_same_posterior(post, ref)
 
 
 def _read_root_posterior(family):
