@@ -26,8 +26,8 @@ first read, refactors the precision, so S is upper-triangular only right
 after a refactor.  Between refactors nothing reads the dense precision, so
 a single row of a fresh arm is only recorded, and the precision lags until
 something reads it (a stale arm's refactor, ``batch_update``, the
-``precision`` property); its diagonal, which ``"precision_diag"`` draws
-read, is kept current.
+``precision`` property) or k*d rows are recorded; its diagonal, which
+``"precision_diag"`` draws read, is kept current.
 
 A Thompson decision needs only each arm's score x'beta at the context x.
 Given sigma^2 that score is N(x'mu, sigma^2 x'C x), independently across
@@ -71,13 +71,17 @@ class _RidgePosterior:
     S = R^-1 (LAPACK ``trtri``, a third of the flops of solving R S = I), so
     S is upper-triangular only right after a refactor.
 
-    A fresh arm's single rows are recorded in one growing block instead of
-    added to the dense precision, which no draw reads; ``precision`` adds
-    them, in the order they came, before anything reads it, so its bits are
-    those of adding each row at once.  The precision's diagonal is kept
-    current row by row, and the "diag" variances are refreshed, when read,
-    only for the arms an update or a refactor changed.  ``arm`` is any index
-    of ``_stale``; an index of one arm must be hashable (an int or a tuple).
+    A fresh arm's single rows are recorded in a block instead of added to
+    the dense precision, which no draw reads; they are added, in the order
+    they came, before anything reads ``precision`` or when the block is
+    full, so its bits are those of adding each row at once.  The block grows
+    to k*d rows for k arms, as many numbers as the precision, so a recorded
+    row skips its add only if the posterior is dropped first, as
+    NeuralLinear drops its heads at a refit; otherwise the add is deferred.
+    The precision's diagonal is kept current row by row, and the "diag"
+    variances are refreshed, when read, only for the arms an update or a
+    refactor changed.  ``arm`` is any index of ``_stale``; an index of one
+    arm must be hashable (an int or a tuple).
     """
 
     def __init__(self, dim: int, ridge: float, *, arms: tuple = ()):
@@ -93,8 +97,10 @@ class _RidgePosterior:
         self.arms = arms
         self._precision = np.broadcast_to(np.eye(dim) * ridge, arms + (dim, dim)).copy()
         self._precision_diag = np.diagonal(self._precision, axis1=-2, axis2=-1).copy()
-        # single rows of fresh arms not yet added to _precision, in order
-        self._rows = np.empty((0, dim))
+        # single rows of fresh arms not yet added to _precision, in order, in
+        # a block that doubles up to as many numbers as the precision holds
+        self._max_rows = math.prod(arms) * dim
+        self._rows = np.empty((min(16, self._max_rows), dim))
         self._row_arms: list = []
         self.bvec = np.zeros(arms + (dim,))
         self.yy = np.zeros(arms)
@@ -128,8 +134,11 @@ class _RidgePosterior:
                 raise ValueError(f"update of arm {arm} is not finite: "
                                  f"x'P^-1 x = {s}, innovation {innovation}")
             n = len(self._row_arms)
-            if n == len(self._rows):
-                grown = np.empty((max(16, 2 * n), self.dim))
+            if n == self._max_rows:
+                self._fold()
+                n = 0
+            elif n == len(self._rows):
+                grown = np.empty((min(2 * n, self._max_rows), self.dim))
                 grown[:n] = self._rows
                 self._rows = grown
             self._rows[n] = x
@@ -165,14 +174,17 @@ class _RidgePosterior:
         self._stale[arm] = True
         self._any_stale = True
 
+    def _fold(self) -> None:
+        """Add the recorded rows to the dense precision in the order they
+        came, as ``update`` would have added them."""
+        for arm, x in zip(self._row_arms, self._rows):
+            self._precision[arm] += x[:, None] * x
+        self._row_arms.clear()
+
     @property
     def precision(self) -> np.ndarray:
-        """X'X + lambda*I per arm, after the recorded rows are added to it in
-        the order they came, as ``update`` would have added them."""
-        if self._row_arms:
-            for arm, x in zip(self._row_arms, self._rows):
-                self._precision[arm] += x[:, None] * x
-            self._row_arms.clear()
+        """X'X + lambda*I per arm, the recorded rows folded in."""
+        self._fold()
         return self._precision
 
     def _factor(self) -> None:

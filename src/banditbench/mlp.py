@@ -142,10 +142,8 @@ class Workspace:
     layer-norm ``xhat[l]``, ``inv[l]`` and two row ``stats``, the gathered
     batch ``X``, dropout's uniforms, ``masks`` and ``drop``, the backward's
     ``active`` and ``scratch``, the gradient ``grad`` (an MLP of views over
-    one vector) and a variational net's ``variational_grad``, ``masked_mse``'s
-    ``loss`` buffers, the ReLU's ``zeros`` and the ``bias_tiles`` (see
-    ``_add_bias``).  ``x`` is the input of the last forward pass and
-    ``dropped`` says whether it applied dropout.
+    one vector) and ``masked_mse``'s ``loss`` buffers.  ``x`` is the input of
+    the last forward pass and ``dropped`` says whether it applied dropout.
     """
 
     def __init__(self, sizes: tuple[int, ...], layer_norm: bool, rows: int, dtype: np.dtype):
@@ -176,55 +174,12 @@ class Workspace:
     loss = functools.cached_property(lambda ws: _loss_buffers(ws.rows, ws.sizes[-1], ws.dtype))
 
     @functools.cached_property
-    def zeros(self) -> list[np.ndarray]:
-        """A zero array of each hidden layer's shape, views of one vector:
-        a ReLU against a full-size operand skips numpy's broadcasting loop."""
-        rows, widths = self.rows, self.sizes[1:-1]
-        zeros = np.zeros(rows * max(widths, default=0), self.dtype)
-        return [zeros[:rows * w].reshape(rows, w) for w in widths]
-
-    @functools.cached_property
-    def bias_tiles(self) -> list[np.ndarray]:
-        """Per layer, an (m, width) block that the bias is copied into, m the
-        largest divisor of ``rows`` up to ``BIAS_TILE_ROWS``."""
-        rows = self.rows
-        m = next(d for d in range(min(rows, BIAS_TILE_ROWS), 0, -1) if rows % d == 0)
-        return [np.empty((m, w), self.dtype) for w in self.sizes[1:]]
-
-    @functools.cached_property
     def grad(self) -> MLP:
-        return MLP(self.sizes, np.empty(self._size, self.dtype), self.layer_norm)
-
-    @functools.cached_property
-    def variational_grad(self) -> np.ndarray:
-        """The gradient of a variational net over nets of this shape: its
-        means', then its pre-stddevs' (``samplers.bbb_loss_and_grads``)."""
-        return np.empty(2 * self._size, self.dtype)
-
-    @property
-    def _size(self) -> int:
-        return param_layout(self.sizes, self.layer_norm)[-1][-1]
+        size = param_layout(self.sizes, self.layer_norm)[-1][-1]
+        return MLP(self.sizes, np.empty(size, self.dtype), self.layer_norm)
 
 
 SHARED_WORKSPACES = 8
-BIAS_TILE_ROWS = 64
-
-
-def _add_bias(z: np.ndarray, bias: np.ndarray, ws: Workspace, l: int) -> None:
-    """z += bias on every row of layer ``l``'s C-contiguous output z, in place.
-
-    On several rows the bias is copied m times into ``ws.bias_tiles[l]`` and
-    z is added to as (rows/m, m*width) blocks: each element still gets one
-    add of the same two operands, over inner loops m times longer than a row.
-    A one-row pass has a workspace of its own (``mlp_predict``, say), where
-    building the tile, or the ReLU's zeros, costs more than it saves."""
-    if ws.rows == 1:
-        np.add(z, bias, out=z)
-        return
-    tile = ws.bias_tiles[l]
-    tile[...] = bias
-    blocks = z.reshape(-1, tile.size, copy=False)
-    np.add(blocks, tile.reshape(-1), out=blocks)
 
 
 @functools.lru_cache(maxsize=SHARED_WORKSPACES)
@@ -279,7 +234,7 @@ def _hidden_layers(
     ws.dropped = dropout_masks is not None
     for l in range(net.num_layers - 1):
         z = ws.act[l] = np.matmul(a, net.weights[l], out=ws.act[l])
-        _add_bias(z, net.biases[l], ws, l)
+        np.add(z, net.biases[l], out=z)
         if net.layer_norm:
             xhat, inv, stat = ws.xhat[l], ws.inv[l], ws.stats[0]
             np.mean(z, axis=1, keepdims=True, out=stat)
@@ -292,7 +247,7 @@ def _hidden_layers(
             np.multiply(z, inv, out=xhat)
             np.multiply(net.gains[l], xhat, out=z)
             np.add(z, net.shifts[l], out=z)
-        np.maximum(z, ws.zeros[l] if ws.rows > 1 else 0.0, out=z)  # see _add_bias
+        np.maximum(z, 0.0, out=z)
         if dropout_masks is not None:
             np.multiply(z, dropout_masks[l], out=z)
             np.divide(z, p_keep, out=z)
@@ -316,7 +271,7 @@ def mlp_forward(
     """
     a, ws = _hidden_layers(net, X, dropout_masks, p_keep, workspace)
     out = ws.out = np.matmul(a, net.weights[-1], out=ws.out)
-    _add_bias(out, net.biases[-1], ws, -1)
+    np.add(out, net.biases[-1], out=out)
     return out, ws
 
 
@@ -421,23 +376,8 @@ def perturb(net: MLP, sigma: float, rng: np.random.Generator) -> MLP:
     return MLP(net.sizes, net.flat + sigma * noise, net.layer_norm)
 
 
-def flush_subnormals(state: np.ndarray, mask: np.ndarray) -> None:
-    """Set the entries of a non-negative ``state`` below its dtype's smallest
-    normal number to 0, in place; ``mask`` is a bool scratch of its shape.
-
-    A squared-gradient average decays dead units' entries into the subnormal
-    range, where every operation on them is several times slower.  Callers
-    read such a state only through fl(acc + 1e-8) or max(diag, 1e-10), which
-    a subnormal cannot move, so flushing leaves the parameters unchanged."""
-    np.less(state, np.finfo(state.dtype).smallest_normal, out=mask)
-    np.copyto(state, 0, where=mask)
-
-
 class RMSProp:
-    """RMSProp on one parameter vector: acc = rho*acc + (1-rho)*g^2; step g/sqrt(acc+eps).
-
-    ``acc`` is flushed of subnormals before it decays (``flush_subnormals``);
-    a step works in two scratch vectors of the parameters' shape."""
+    """RMSProp on one parameter vector: acc = rho*acc + (1-rho)*g^2; step g/sqrt(acc+eps)."""
 
     def __init__(self, params: np.ndarray, rho: float = 0.9, eps: float = 1e-8):
         if not 0.0 <= rho < 1.0:
@@ -445,24 +385,13 @@ class RMSProp:
         self.rho = rho
         self.eps = eps
         self.acc = np.zeros_like(params)
-        self._scratch = (np.empty_like(params), np.empty_like(params))
-        self._mask = np.empty(params.shape, bool)
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         check_shape("parameter vector", params, self.acc.shape)
         check_shape("gradient", grads, self.acc.shape)
-        acc, (root, delta) = self.acc, self._scratch
-        flush_subnormals(acc, self._mask)
-        # acc = rho*acc + (1-rho)*g*g; params -= lr*g / sqrt(acc + eps)
-        acc *= self.rho
-        np.multiply(1.0 - self.rho, grads, out=delta)
-        delta *= grads
-        acc += delta
-        np.add(acc, self.eps, out=root)
-        np.sqrt(root, out=root)
-        np.multiply(lr, grads, out=delta)
-        delta /= root
-        params -= delta
+        self.acc *= self.rho
+        self.acc += (1.0 - self.rho) * grads * grads
+        params -= lr * grads / np.sqrt(self.acc + self.eps)
 
 
 @dataclass(frozen=True)

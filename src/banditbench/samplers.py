@@ -31,7 +31,6 @@ from .mlp import (
     TrainingSchedule,
     Workspace,
     check_shape,
-    flush_subnormals,
     masked_mse,
     mlp_backward,
     mlp_forward,
@@ -44,29 +43,18 @@ DIAG_FLOOR = 1e-10
 
 
 class FisherEMA:
-    """Diagonal EMA of squared gradients, one vector laid out as the parameters.
-
-    ``diag`` is flushed of subnormals before it decays (``flush_subnormals``).
-    The EMA also holds the three scratch vectors that it and the chain steps
-    work in."""
+    """Diagonal EMA of squared gradients, one vector laid out as the parameters."""
 
     def __init__(self, params: np.ndarray, decay: float = 0.9):
         if not 0.0 <= decay < 1.0:
             raise ValueError(f"ema_decay must lie in [0, 1), got {decay!r}")
         self.decay = decay
         self.diag = np.zeros_like(params)
-        self.scratch = tuple(np.empty_like(params) for _ in range(3))
-        self._mask = np.empty(params.shape, bool)
 
     def update(self, grads: np.ndarray) -> None:
         check_shape("gradient", grads, self.diag.shape)
-        flush_subnormals(self.diag, self._mask)
-        square = self.scratch[0]
-        # diag = decay*diag + (1-decay)*g*g
         self.diag *= self.decay
-        np.multiply(1.0 - self.decay, grads, out=square)
-        square *= grads
-        self.diag += square
+        self.diag += (1.0 - self.decay) * grads * grads
 
 
 def _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise) -> bool:
@@ -101,21 +89,12 @@ def sgfs_step(
     """
     inject = _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise)
     eps = step_size
-    diag, h, term = ema.scratch
-    # h = (2/N) / ((1+eps)*diag); params -= eps*h*g
-    np.maximum(ema.diag, DIAG_FLOOR, out=diag)
-    np.multiply(1.0 + eps, diag, out=h)
-    np.divide(2.0 / data_count, h, out=h)
-    np.multiply(eps, h, out=term)
-    term *= grads
-    params -= term
+    diag = np.maximum(ema.diag, DIAG_FLOOR)
+    h = (2.0 / data_count) / ((1.0 + eps) * diag)
+    params -= eps * h * grads
     if inject:
-        # params += noise_scale*sqrt(eps)*h*sqrt(diag)*nu
-        nu = rng.standard_normal(dtype=params.dtype, out=term)
-        np.multiply(noise_scale * math.sqrt(eps), h, out=h)
-        h *= np.sqrt(diag, out=diag)
-        h *= nu
-        params += h
+        nu = rng.standard_normal(params.shape, dtype=params.dtype)
+        params += noise_scale * math.sqrt(eps) * h * np.sqrt(diag) * nu
 
 
 def const_sgd_step(
@@ -140,17 +119,11 @@ def const_sgd_step(
         raise ValueError("batch_size must be positive")
     inject = _chain_step_checks(params, grads, ema, data_count, noise_scale, rng, skip_noise)
     ratio = 2.0 * batch_size / data_count
-    eps, term, _ = ema.scratch
-    # eps = ratio / diag; params -= eps*g
-    np.maximum(ema.diag, DIAG_FLOOR, out=eps)
-    np.divide(ratio, eps, out=eps)
-    np.multiply(eps, grads, out=term)
-    params -= term
+    eps = ratio / np.maximum(ema.diag, DIAG_FLOOR)
+    params -= eps * grads
     if inject:
-        # params += noise_scale*sqrt(eps)*nu
-        np.multiply(noise_scale, np.sqrt(eps, out=eps), out=eps)
-        eps *= rng.standard_normal(dtype=params.dtype, out=term)
-        params += eps
+        params += noise_scale * np.sqrt(eps) * rng.standard_normal(
+            params.shape, dtype=params.dtype)
 
 
 class _SGChainAgent(TrainableNet):
@@ -351,9 +324,7 @@ def bbb_loss_and_grads(
     dropped).  The KL term is closed-form; only the likelihood term is
     estimated with one reparameterized weight sample.  The gradient is one
     vector laid out as ``vnet.flat`` (mu, then rho).  The sampled net's
-    batch runs in ``workspace`` when one is given (``mlp.Workspace``), and
-    the gradient is then its ``variational_grad``, which the next batch
-    overwrites.
+    batch runs in ``workspace`` when one is given (``mlp.Workspace``).
     """
     if total_count < 1:
         raise ValueError("total_count must be positive")
@@ -372,15 +343,10 @@ def bbb_loss_and_grads(
     loss = kl / total_count + nll
     pvar = vnet.prior_sigma * vnet.prior_sigma
     gate = 1.0 / (1.0 + np.exp(-vnet.rho))  # d softplus / d rho
-    grad = np.empty_like(vnet.flat) if workspace is None else workspace.variational_grad
-    dmu, drho = grad[:mu.size], grad[mu.size:]
-    # dmu = dw + (mu/pvar)/N; drho = (dw*noise + dkl/dsigma) * gate
-    np.add(dw, (mu / pvar) / total_count, out=dmu)
+    dmu = dw + (mu / pvar) / total_count
     dkl_dsigma = (-1.0 / sigma + sigma / pvar) / total_count
-    np.multiply(dw, noise, out=drho)
-    drho += dkl_dsigma
-    drho *= gate
-    return loss, kl, grad
+    drho = (dw * noise + dkl_dsigma) * gate
+    return loss, kl, np.concatenate([dmu, drho])
 
 
 class BayesByBackpropAgent(TrainableNet):

@@ -362,6 +362,23 @@ def test_recorded_rows_leave_every_read_as_eager_updates_do(seed, dim, arms, ops
     _assert_same_posterior(post, ref)
 
 
+def test_recorded_rows_stay_within_k_times_d_over_a_long_run():
+    # A full block of recorded rows is folded in, so a long run never holds
+    # more than k*d of them, and the precision keeps the eager bits.
+    rng = np.random.default_rng(3)
+    post = NIGLinearPosterior(5, arms=(8,))
+    ref = EagerRidge(5, 0.25, (8,), post.b0)
+    np.testing.assert_array_equal(post.mean, ref.mean)
+    for _ in range(500):
+        x, y, arm = rng.standard_normal(5) + 2.0, float(rng.standard_normal()), int(rng.integers(8))
+        post.update(x, y, arm)
+        ref.update(x, y, arm)
+        assert len(post._rows) <= 40 and 1 <= len(post._row_arms) <= 40
+    np.testing.assert_array_equal(post._precision_diag,
+                                  np.diagonal(ref.precision, axis1=-2, axis2=-1), strict=True)
+    _assert_same_posterior(post, ref)
+
+
 def _read_root_posterior(family):
     """Four arms at d=5 on shifted (so correlated) contexts: every arm is
     refactored once, then takes 60 single-row root updates, then arm 2 takes

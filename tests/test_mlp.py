@@ -12,8 +12,6 @@ from banditbench.mlp import (
     RMSProp,
     TrainingSchedule,
     Workspace,
-    _add_bias,
-    flush_subnormals,
     hidden_features,
     make_dropout_masks,
     masked_mse,
@@ -400,47 +398,6 @@ def test_rmsprop_first_step_from_zero_accumulator():
     np.testing.assert_allclose(params, expect, rtol=1e-12)
     with pytest.raises(ValueError):
         RMSProp(params, rho=1.0)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [1, 7, 512])
-def test_bias_add_and_relu_keep_the_bytes_of_their_broadcast_forms(dtype, rows):
-    # The forward pass adds each bias over tiled blocks of rows and takes the
-    # ReLU against a zeros buffer; on -0.0 and NaN pre-activations its bytes
-    # are those of z + b and np.maximum(z, 0.0).
-    rng = np.random.default_rng(rows)
-    width = 6
-    z = rng.standard_normal((rows, width)).astype(dtype)
-    z[::2, [0, 3]] = -0.0
-    z[1::3, 1] = np.nan
-    bias = np.array([-0.0, 0.0, np.nan, -0.0, 1.5, -2.0], dtype)
-    pre = z + bias
-    assert np.any((pre == 0) & np.signbit(pre)) and np.isnan(pre).any()
-    want = np.maximum(pre, 0.0)
-    ws = Workspace((3, width, width, 2), False, rows, np.dtype(dtype))
-    got = z.copy()
-    _add_bias(got, bias, ws, 0)
-    assert got.tobytes() == pre.tobytes()
-    np.maximum(got, ws.zeros[0], out=got)
-    assert got.tobytes() == want.tobytes()
-    # and so in a forward pass, with a workspace or without
-    net = mlp_init((width, width, 2), rng).astype(dtype)
-    net.biases[0][...] = bias
-    X = np.nan_to_num(z, nan=0.5)
-    want = np.maximum(np.matmul(X, net.weights[0]) + bias, 0.0)
-    assert hidden_features(net, X).tobytes() == want.tobytes()
-    ws = Workspace(net.sizes, False, rows, np.dtype(dtype))
-    out, _ = mlp_forward(net, X, workspace=ws)
-    assert ws.act[0].tobytes() == want.tobytes()
-    assert out.tobytes() == (np.matmul(want, net.weights[1]) + net.biases[1]).tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_flush_subnormals_zeroes_only_the_subnormal_entries(dtype):
-    tiny = np.finfo(dtype).smallest_normal
-    state = np.array([0.0, tiny, tiny / 2, tiny * 1e-5, 1e-8, np.inf, np.nan], dtype)
-    flush_subnormals(state, np.empty(state.shape, bool))
-    np.testing.assert_array_equal(state, np.array([0.0, tiny, 0, 0, 1e-8, np.inf, np.nan], dtype))
 
 
 def test_schedule_due_logic():

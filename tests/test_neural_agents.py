@@ -29,7 +29,7 @@ from banditbench import (
 )
 from banditbench import neural
 from banditbench.core import HistoryBuffer
-from banditbench.mlp import RMSProp, mlp_predict
+from banditbench.mlp import mlp_predict
 from banditbench.neural import TrainableNet
 
 SMALL = TrainingSchedule(train_every=10, batches_per_period=3, batch_size=8)
@@ -123,37 +123,6 @@ def test_a_second_training_period_allocates_less_than_one_activation(agent):
         tracemalloc.stop()
     assert net.batches_run == 6
     assert peak < 512 * 100 * 4
-
-
-class UnflushedRMSProp(RMSProp):
-    """RMSProp written out without the subnormal flush: its state decays
-    through the subnormal range."""
-
-    def step(self, params, grads, lr):
-        self.acc *= self.rho
-        self.acc += (1.0 - self.rho) * grads * grads
-        params -= lr * grads / np.sqrt(self.acc + self.eps)
-
-
-def subnormals(state: np.ndarray) -> int:
-    return int(np.sum((state != 0) & (np.abs(state) < np.finfo(state.dtype).smallest_normal)))
-
-
-def test_flushing_rmsprop_subnormals_leaves_the_net_bitwise_unchanged():
-    # Dead units get zero gradients, so over a 2000-step wheel trial their
-    # RMSProp state decays below float32's smallest normal number.
-    def trial(optimizer):
-        env = ConstantFeatureEnv(WheelBandit(WheelConfig(delta=0.95), seed=0))
-        agent = get_preset("NeuralLinear").make(3, 5, 2000, 0)
-        if optimizer is not None:
-            agent.opt = optimizer(agent.net.flat)
-        run_trial(env, agent, seed=0)
-        return agent
-
-    flushed, unflushed = trial(None), trial(UnflushedRMSProp)
-    assert subnormals(unflushed.opt.acc) > 1000
-    assert subnormals(flushed.opt.acc) == 0
-    assert flushed.net.flat.tobytes() == unflushed.net.flat.tobytes()
 
 
 def test_training_fires_on_schedule_only():
