@@ -30,14 +30,14 @@ logger = logging.getLogger(__name__)
 
 MISSING_TOKENS = {"", "?", "NA", "na", "nan", "NaN"}
 
-REWARD_RULES = (
-    "classification",
-    "mushroom",
-    "direct_columns",
-    "song_gaussian",
-    "financial_synthetic",
-)
-LABEL_RULES = ("classification", "mushroom", "song_gaussian")  # they read label_column
+# The spec fields each reward rule reads; DatasetSpec checks them before any file is read.
+RULE_NEEDS = {
+    "classification": ("label_column",),
+    "mushroom": ("label_column",),
+    "direct_columns": ("reward_columns",),
+    "song_gaussian": ("label_column", "num_actions"),
+    "financial_synthetic": ("num_actions",),
+}
 
 MUSHROOM_EAT = 0
 MUSHROOM_SAFE_REWARD = 5.0
@@ -184,10 +184,11 @@ class SampledLinearBandit(Environment):
 class DatasetSpec:
     """How to turn a delimited text file into a bandit.
 
-    Columns may be referenced by header name (``header=True``) or by integer
-    index.  ``reward_rule`` selects the reward semantics; see
-    ``dataset_load``.  Rows with missing values (empty, '?', or NA tokens)
-    are dropped and counted.
+    A column is a header name (``header=True``) or a 0-based position in the
+    file, and has one role: label, numeric, categorical or reward.
+    ``reward_rule`` selects the reward semantics (see ``dataset_load``), and
+    ``RULE_NEEDS`` the fields each rule needs.  Rows with missing values
+    (empty, '?', or NA tokens) are dropped and counted.
     """
 
     path: str
@@ -203,8 +204,8 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.reward_rule not in REWARD_RULES:
-            raise ValueError(f"reward_rule must be one of {REWARD_RULES}")
+        if self.reward_rule not in RULE_NEEDS:
+            raise ValueError(f"reward_rule must be one of {tuple(RULE_NEEDS)}")
         # csv.reader takes one character, and would misread a quote or a
         # line break as the delimiter
         if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
@@ -212,8 +213,9 @@ class DatasetSpec:
                 f"delimiter must be one character, not a quote or line break: "
                 f"{self.delimiter!r}"
             )
-        if self.label_column is None and self.reward_rule in LABEL_RULES:
-            raise ValueError(f"reward_rule {self.reward_rule!r} needs label_column")
+        for need in RULE_NEEDS[self.reward_rule]:
+            if getattr(self, need) in (None, ()):
+                raise ValueError(f"reward_rule {self.reward_rule!r} needs {need}")
         if self.num_actions is not None and self.num_actions < 1:
             raise ValueError(f"num_actions must be >= 1, got {self.num_actions}")
 
@@ -285,141 +287,117 @@ class ConstantFeatureEnv(Environment):
         return self.inner.realize_reward(t, action, rng)
 
 
-def _read_rows(spec: DatasetSpec) -> tuple[list[list[str]], dict]:
-    """Stripped cells of every non-blank line, and the header's name -> column."""
+def _read_rows(spec: DatasetSpec) -> tuple[list[list[str]], list[str]]:
+    """Stripped cells of every non-blank data line, and the header's names."""
     with open(spec.path, "r", encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if ln.strip()]
     reader = csv.reader(lines, delimiter=spec.delimiter, skipinitialspace=True)
     rows = [[cell.strip() for cell in row] for row in reader]
+    names = rows.pop(0) if spec.header and rows else []
     if not rows:
-        raise ValueError(f"{spec.path} is empty")
-    names: dict = {}
-    if spec.header:
-        names = {nm: i for i, nm in enumerate(rows[0])}
-        rows = rows[1:]
+        raise ValueError(f"{spec.path} has no data rows")
     return rows, names
 
 
-def _col_index(col: Union[str, int], names: dict, what: str) -> int:
-    if isinstance(col, int):
-        return col
-    if col not in names:
-        raise ValueError(f"unknown {what} column {col!r}")
-    return names[col]
-
-
-def _one_hot_order(rows: list[list[str]], col: int) -> dict:
-    """Category -> slot, in order of first appearance."""
-    order: dict = {}
-    for row in rows:
-        v = row[col]
-        if v not in order:
-            order[v] = len(order)
-    return order
+def _one_hot(rows: list[list[str]], col: int, width: Optional[int] = None) -> np.ndarray:
+    """Column ``col`` one-hot, slots in order of first appearance, padded with
+    zero columns to ``width`` (a label column's num_actions) when given."""
+    slots: dict = {}
+    index = [slots.setdefault(row[col], len(slots)) for row in rows]
+    if width is not None and len(slots) > width:
+        raise ValueError(f"{len(slots)} labels exceed num_actions={width}")
+    out = np.zeros((len(rows), width or len(slots)))
+    out[np.arange(len(rows)), index] = 1.0
+    return out
 
 
 def dataset_load(spec: DatasetSpec) -> DatasetBandit:
     """Build a bandit from a delimited file per ``spec.reward_rule``.
 
-    Context features are the declared numeric columns (parsed as floats)
-    followed by one-hot encodings of the categorical columns, category slots
-    ordered by first appearance in the file.  Reward rules:
+    Context features are the numeric columns (parsed as floats) followed by
+    one-hot encodings of the categorical columns (by default, every column
+    without a role), slots ordered by first appearance.  Each column index is
+    checked against the file, and a column given a second role is refused.
+    Reward rules, each given the fields ``RULE_NEEDS`` names:
 
-    * classification: k = number of distinct labels; reward 1 for the label's
-      action, 0 otherwise.
+    * classification: k = num_actions, or the number of distinct labels;
+      reward 1 for the label's action, 0 otherwise.
     * mushroom: k = 2 (eat, abstain); abstaining pays 0, eating pays +5 on an
       edible row and, on a poisonous row, +5 or -35 with equal probability
       (expected -15, which is what the reward table stores).
     * direct_columns: the declared reward columns are the k arms' payoffs.
-    * song_gaussian: the label column holds a bucket index in [0, k);
+    * song_gaussian: the label column holds an integer bucket in [0, k);
       reward = exp(-(action - bucket)^2 / 2).
     * financial_synthetic: arms are fixed random linear combinations of the
-      numeric context, with the mixing matrix drawn from ``spec.seed``.
+      context, with the mixing matrix drawn from ``spec.seed``.
     """
     rows, names = _read_rows(spec)
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{spec.path}: row {i + 1} has {len(row)} cells, expected {width}")
+    roles: dict = {}  # column index -> its role
 
-    numeric = [_col_index(c, names, "numeric") for c in spec.numeric_columns]
-    label = (
-        None
-        if spec.label_column is None
-        else _col_index(spec.label_column, names, "label")
-    )
-    reward_cols = [_col_index(c, names, "reward") for c in spec.reward_columns]
-    if spec.categorical_columns is None:
-        used = set(numeric) | set(reward_cols) | ({label} if label is not None else set())
-        categorical = [i for i in range(width) if i not in used]
-    else:
-        categorical = [_col_index(c, names, "categorical") for c in spec.categorical_columns]
+    def column(col: Union[str, int], what: str) -> int:
+        """The index of ``col``, checked, and recorded as the ``what`` column."""
+        index = col
+        if isinstance(col, str):
+            if col not in names:
+                raise ValueError(f"unknown {what} column {col!r}")
+            if names.count(col) > 1:
+                raise ValueError(f"{what} column {col!r} is the name of several columns")
+            index = names.index(col)
+        if not 0 <= index < width:
+            raise ValueError(f"{what} column {col!r} is out of range for {width} columns")
+        if index in roles:
+            raise ValueError(f"{what} column {col!r} is already a {roles[index]} column")
+        roles[index] = what
+        return index
 
-    watched = set(numeric) | set(categorical) | set(reward_cols)
-    if label is not None:
-        watched.add(label)
-    kept, dropped = [], 0
-    for row in rows:
-        if any(row[c] in MISSING_TOKENS for c in watched):
-            dropped += 1
-        else:
-            kept.append(row)
+    numeric = [column(c, "numeric") for c in spec.numeric_columns]
+    label = None if spec.label_column is None else column(spec.label_column, "label")
+    reward_cols = [column(c, "reward") for c in spec.reward_columns]
+    declared = spec.categorical_columns
+    if declared is None:
+        declared = [i for i in range(width) if i not in roles]
+    categorical = [column(c, "categorical") for c in declared]
+
+    kept = [row for row in rows if not any(row[c] in MISSING_TOKENS for c in roles)]
+    dropped = len(rows) - len(kept)
     if dropped:
         logger.info("%s: dropped %d rows with missing values", spec.path, dropped)
     if not kept:
         raise ValueError(f"{spec.path}: no rows left after dropping missing values")
-
-    slots = {c: _one_hot_order(kept, c) for c in categorical}
-    dim = len(numeric) + sum(len(s) for s in slots.values())
-    X = np.zeros((len(kept), dim))
-    for i, row in enumerate(kept):
-        j = 0
-        for c in numeric:
-            X[i, j] = float(row[c])
-            j += 1
-        for c in categorical:
-            X[i, j + slots[c][row[c]]] = 1.0
-            j += len(slots[c])
+    X = np.hstack([
+        np.array([[float(row[c]) for c in numeric] for row in kept]),
+        *(_one_hot(kept, c) for c in categorical),
+    ])
 
     rule = spec.reward_rule
     poisonous = None
     if rule == "classification":
-        labels = _one_hot_order(kept, label)
-        k = spec.num_actions or len(labels)
-        if len(labels) > k:
-            raise ValueError(f"{len(labels)} labels exceed num_actions={k}")
-        R = np.zeros((len(kept), k))
-        for i, row in enumerate(kept):
-            R[i, labels[row[label]]] = 1.0
+        R = _one_hot(kept, label, spec.num_actions)
     elif rule == "mushroom":
         values = sorted({row[label] for row in kept})
         if len(values) != 2:
             raise ValueError("mushroom rule needs exactly two label values")
         # Lexicographically first label value is the edible class ('e' < 'p').
-        edible = values[0]
-        poisonous = np.array([row[label] != edible for row in kept])
+        poisonous = np.array([row[label] != values[0] for row in kept])
         R = np.zeros((len(kept), 2))
         R[:, MUSHROOM_EAT] = np.where(
             poisonous, MUSHROOM_POISON_EXPECTED, MUSHROOM_SAFE_REWARD
         )
     elif rule == "direct_columns":
-        if not reward_cols:
-            raise ValueError("direct_columns rule needs reward_columns")
         R = np.array([[float(row[c]) for c in reward_cols] for row in kept])
     elif rule == "song_gaussian":
-        if spec.num_actions is None:
-            raise ValueError("song_gaussian rule needs num_actions")
-        k = spec.num_actions
-        buckets = np.array([int(float(row[label])) for row in kept])
-        if buckets.min() < 0 or buckets.max() >= k:
-            raise ValueError("bucket labels must lie in [0, num_actions)")
-        arms = np.arange(k)
-        R = np.exp(-0.5 * (arms[None, :] - buckets[:, None]) ** 2)
+        arms = np.arange(spec.num_actions)
+        buckets = np.array([float(row[label]) for row in kept])
+        if not np.isin(buckets, arms).all():
+            raise ValueError("bucket labels must be integers in [0, num_actions)")
+        R = np.exp(-0.5 * (arms[None, :] - buckets.astype(int)[:, None]) ** 2)
     else:  # financial_synthetic
-        if spec.num_actions is None:
-            raise ValueError("financial_synthetic rule needs num_actions")
-        mix_rng = rng_at(spec.seed)
-        M = mix_rng.standard_normal((spec.num_actions, dim)) / math.sqrt(dim)
+        dim = X.shape[1]
+        M = rng_at(spec.seed).standard_normal((spec.num_actions, dim)) / math.sqrt(dim)
         R = X @ M.T
 
     if spec.num_actions is not None and spec.num_actions != R.shape[1]:

@@ -544,11 +544,44 @@ _LABEL_RULES = ("classification", "mushroom", "song_gaussian")
      "num_actions=5, but reward_rule 'direct_columns' has 2 arms"),
     (_DATASET + "reward_rule=mushroom\nlabel_column=1\nnum_actions=3", "1.0,e\n2.0,p\n",
      _ONE_TRIAL, "num_actions=3, but reward_rule 'mushroom' has 2 arms"),
+    # a rule without the other fields it reads
+    (_DATASET + "reward_rule=direct_columns", "1.0,2.0\n", _ONE_TRIAL,
+     "reward_rule 'direct_columns' needs reward_columns"),
+    (_DATASET + "reward_rule=song_gaussian\nlabel_column=1", "1.0,0\n", _ONE_TRIAL,
+     "reward_rule 'song_gaussian' needs num_actions"),
+    # a column index outside the file, where -1 would read the label into the contexts
+    (_DATASET + "reward_rule=classification\nlabel_column=9", "1.0,a,x\n2.0,b,y\n",
+     _ONE_TRIAL, "label column 9 is out of range for 3 columns"),
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=-1",
+     "a,b,lab\n1,x,p\n2,y,q\n", _ONE_TRIAL, "label column -1 is out of range for 3 columns"),
+    # a column with two roles, or a header name that two columns share
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=lab\n"
+     "numeric_columns=a,lab", "a,b,lab\n1,x,0\n2,y,1\n", _ONE_TRIAL,
+     "label column 'lab' is already a numeric column"),
+    (_DATASET + "reward_rule=direct_columns\nreward_columns=0,1", "1.0,2.0\n3.0,4.0\n",
+     _ONE_TRIAL, "reward column 0 is already a numeric column"),
+    ("name=dataset\npath={data}\nheader=false\nnumeric_columns=0\ncategorical_columns=1\n"
+     "reward_rule=direct_columns\nreward_columns=1", "1.0,2.0\n3.0,4.0\n", _ONE_TRIAL,
+     "categorical column 1 is already a reward column"),
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=x\n"
+     "categorical_columns=", "x,x\na,b\nc,d\n", _ONE_TRIAL,
+     "label column 'x' is the name of several columns"),
+    # song buckets that are not integers in [0, num_actions), and a header with no rows
+    *[(_DATASET + "reward_rule=song_gaussian\nlabel_column=1\nnum_actions=3",
+       f"1.0,0\n2.0,{bucket}\n", _ONE_TRIAL, "bucket labels must be integers in [0, num_actions)")
+      for bucket in ("-0.5", "2.7", "inf")],
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=lab",
+     "a,lab\n", _ONE_TRIAL, "d.csv has no data rows"),
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
         "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow",
         *[f"dataset-{rule}-no-label" for rule in _LABEL_RULES],
-        "dataset-num_actions-0", "dataset-direct-num_actions", "dataset-mushroom-num_actions"])
+        "dataset-num_actions-0", "dataset-direct-num_actions", "dataset-mushroom-num_actions",
+        "dataset-direct-no-reward_columns", "dataset-song-no-num_actions",
+        "dataset-label-past-the-end", "dataset-label-negative", "dataset-label-also-numeric",
+        "dataset-reward-also-numeric", "dataset-reward-also-categorical",
+        "dataset-shared-header-name", "dataset-bucket--0.5", "dataset-bucket-2.7",
+        "dataset-bucket-inf", "dataset-header-only"])
 def test_a_non_finite_environment_value_fails_before_any_cell(
     environment, data, run, reason, tmp_path, monkeypatch, capsys
 ):
@@ -632,9 +665,10 @@ def test_format_summary_table_rms_column():
 PINNED = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("name", ["wheel", "linear", "chains"])
-def test_the_pinned_digest_configs_set_up(name):
+@pytest.mark.parametrize("name", ["wheel", "linear", "chains", "dataset"])
+def test_the_pinned_digest_configs_set_up(name, monkeypatch):
     # the digests themselves are not pinned here: float32 results depend on the BLAS build
+    monkeypatch.chdir(PINNED.parent)  # the dataset's path is relative to the repository root
     config = load_config(str(PINNED / f"pinned-{name}.cfg"))
     setup_run(config)
     run = config.run

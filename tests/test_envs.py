@@ -1,12 +1,17 @@
 """Environment behavior: wheel geometry, linear models, dataset loading."""
 
+import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditbench import (
     ConstantFeatureEnv,
+    DatasetBandit,
     DatasetSpec,
     LinearConfig,
     SampledLinearBandit,
@@ -18,7 +23,9 @@ from banditbench import (
     mushroom_env,
     run_trial,
 )
-from banditbench.envs import wheel_quadrant_actions
+from banditbench import envs
+from banditbench.core import rng_at
+from banditbench.envs import RULE_NEEDS, wheel_quadrant_actions
 
 
 def test_wheel_config_validation():
@@ -488,3 +495,185 @@ def test_context_digest_is_one_update_per_step(tmp_path):
         for horizon in (env.horizon, 7):
             trace = run_trial(env, UniformAgent(env.num_actions), seed=0, horizon=horizon)
             assert trace.context_digest == _per_step_digest(env, horizon)
+
+
+def reference_dataset_load(spec):
+    """The loader as it was written row by row, kept to pin the rebuilt one:
+    the header read into a name -> last column dict, each categorical
+    column's slots found by a scan of its own, the features filled cell by
+    cell, and the classification rewards filled row by row."""
+    with open(spec.path, "r", encoding="utf-8", newline="") as fh:
+        lines = [ln for ln in fh if ln.strip()]
+    reader = csv.reader(lines, delimiter=spec.delimiter, skipinitialspace=True)
+    rows = [[cell.strip() for cell in row] for row in reader]
+    if not rows:
+        raise ValueError(f"{spec.path} is empty")
+    names = {}
+    if spec.header:
+        names = {nm: i for i, nm in enumerate(rows[0])}
+        rows = rows[1:]
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{spec.path}: row {i + 1} has {len(row)} cells, expected {width}")
+
+    def col_index(col, what):
+        if isinstance(col, int):
+            return col
+        if col not in names:
+            raise ValueError(f"unknown {what} column {col!r}")
+        return names[col]
+
+    def one_hot_order(rows, col):
+        order = {}
+        for row in rows:
+            if row[col] not in order:
+                order[row[col]] = len(order)
+        return order
+
+    numeric = [col_index(c, "numeric") for c in spec.numeric_columns]
+    label = None if spec.label_column is None else col_index(spec.label_column, "label")
+    reward_cols = [col_index(c, "reward") for c in spec.reward_columns]
+    if spec.categorical_columns is None:
+        used = set(numeric) | set(reward_cols) | ({label} if label is not None else set())
+        categorical = [i for i in range(width) if i not in used]
+    else:
+        categorical = [col_index(c, "categorical") for c in spec.categorical_columns]
+    watched = set(numeric) | set(categorical) | set(reward_cols)
+    if label is not None:
+        watched.add(label)
+    kept, dropped = [], 0
+    for row in rows:
+        if any(row[c] in envs.MISSING_TOKENS for c in watched):
+            dropped += 1
+        else:
+            kept.append(row)
+    if not kept:
+        raise ValueError(f"{spec.path}: no rows left after dropping missing values")
+
+    slots = {c: one_hot_order(kept, c) for c in categorical}
+    dim = len(numeric) + sum(len(s) for s in slots.values())
+    X = np.zeros((len(kept), dim))
+    for i, row in enumerate(kept):
+        j = 0
+        for c in numeric:
+            X[i, j] = float(row[c])
+            j += 1
+        for c in categorical:
+            X[i, j + slots[c][row[c]]] = 1.0
+            j += len(slots[c])
+
+    rule = spec.reward_rule
+    poisonous = None
+    if rule == "classification":
+        labels = one_hot_order(kept, label)
+        k = spec.num_actions or len(labels)
+        if len(labels) > k:
+            raise ValueError(f"{len(labels)} labels exceed num_actions={k}")
+        R = np.zeros((len(kept), k))
+        for i, row in enumerate(kept):
+            R[i, labels[row[label]]] = 1.0
+    elif rule == "mushroom":
+        values = sorted({row[label] for row in kept})
+        if len(values) != 2:
+            raise ValueError("mushroom rule needs exactly two label values")
+        poisonous = np.array([row[label] != values[0] for row in kept])
+        R = np.zeros((len(kept), 2))
+        R[:, envs.MUSHROOM_EAT] = np.where(
+            poisonous, envs.MUSHROOM_POISON_EXPECTED, envs.MUSHROOM_SAFE_REWARD
+        )
+    elif rule == "direct_columns":
+        R = np.array([[float(row[c]) for c in reward_cols] for row in kept])
+    elif rule == "song_gaussian":
+        k = spec.num_actions
+        buckets = np.array([int(float(row[label])) for row in kept])
+        if buckets.min() < 0 or buckets.max() >= k:
+            raise ValueError("bucket labels must lie in [0, num_actions)")
+        arms = np.arange(k)
+        R = np.exp(-0.5 * (arms[None, :] - buckets[:, None]) ** 2)
+    else:  # financial_synthetic
+        M = rng_at(spec.seed).standard_normal((spec.num_actions, dim)) / math.sqrt(dim)
+        R = X @ M.T
+    if spec.num_actions is not None and spec.num_actions != R.shape[1]:
+        raise ValueError(f"num_actions={spec.num_actions}, but reward_rule {rule!r} has "
+                         f"{R.shape[1]} arms")
+    name = rule if rule != "direct_columns" else "direct"
+    return DatasetBandit(
+        X, R, name=name, poisonous=poisonous, horizon=spec.horizon, dropped_rows=dropped
+    )
+
+
+NUMBERS = ("0", "1.5", "-0.0", "2", "-3.25", "1e-3", "7.0")
+WORDS = ("a", "b", "c,d", "e f")
+LABELS = {"classification": WORDS, "mushroom": ("e", "p"), "song_gaussian": ("0", "1", "2.0")}
+
+
+@st.composite
+def dataset_cases(draw):
+    """A small file, and a spec over it whose columns each have one role."""
+    rule = draw(st.sampled_from(tuple(RULE_NEEDS)))
+    kinds = ["num"] * draw(st.integers(0, 3)) + ["cat"] * draw(st.integers(0, 2))
+    if rule in LABELS:
+        kinds.append("label")
+    kinds += ["reward"] * (draw(st.integers(1, 3)) if rule == "direct_columns" else 0)
+    kinds += ["cat"] * max(0, 2 - len(kinds))
+    kinds = draw(st.permutations(kinds))
+    values = {"num": NUMBERS, "cat": WORDS, "label": LABELS.get(rule), "reward": NUMBERS}
+    missing = tuple(sorted(envs.MISSING_TOKENS))
+    rows = draw(st.lists(
+        st.tuples(*[st.sampled_from(values[kind] * 6 + missing) for kind in kinds]),
+        min_size=1, max_size=10))
+    header = draw(st.booleans())
+
+    def ref(i):  # a header name or an index, at random where there is a header
+        return f"h{i}" if header and draw(st.booleans()) else i
+
+    numeric = [i for i, kind in enumerate(kinds) if kind == "num" and draw(st.booleans())]
+    free = [i for i, kind in enumerate(kinds) if kind in ("num", "cat") and i not in numeric]
+    categorical = tuple(ref(i) for i in free if draw(st.booleans()))
+    num_actions = {
+        "classification": st.none() | st.integers(1, 5), "mushroom": st.none() | st.just(2),
+        "direct_columns": st.none() | st.just(kinds.count("reward")),
+        "song_gaussian": st.integers(3, 4), "financial_synthetic": st.integers(1, 3),
+    }[rule]
+    spec = dict(
+        reward_rule=rule, header=header,
+        label_column=ref(kinds.index("label")) if "label" in kinds else None,
+        numeric_columns=tuple(map(ref, numeric)),
+        categorical_columns=draw(st.sampled_from([None, categorical])),
+        reward_columns=tuple(ref(i) for i, kind in enumerate(kinds) if kind == "reward"),
+        num_actions=draw(num_actions), horizon=draw(st.none() | st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    sep = draw(st.sampled_from([",", ", "]))
+
+    def quote(cell):  # a cell holding the delimiter must be quoted; any other may be
+        return f'"{cell}"' if "," in cell or draw(st.booleans()) else cell
+
+    lines = [[f"h{i}" for i in range(len(kinds))]] if header else []
+    text = "".join(sep.join(map(quote, line)) + "\n" for line in lines + rows)
+    return text, spec
+
+
+def _built(load, spec):
+    """Every byte a dataset bandit is built from, or the ValueError's type."""
+    try:
+        env = load(spec)
+    except ValueError:
+        return ValueError
+    poison = env._poisonous
+    return (
+        env.contexts.shape, env.contexts.tobytes(), env.expected.shape, env.expected.tobytes(),
+        None if poison is None else (poison.dtype.str, poison.tobytes()),
+        env.dropped_rows, env.name, env.horizon,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dataset_cases())
+def test_the_loader_builds_what_the_row_by_row_loader_built(case, tmp_path_factory):
+    text, fields = case
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_text(text, encoding="utf-8")
+    spec = DatasetSpec(path=str(path), **fields)
+    assert _built(dataset_load, spec) == _built(reference_dataset_load, spec)
