@@ -112,6 +112,33 @@ def setup_run(config: BenchmarkConfig) -> tuple[Callable[[int], Environment], in
     return env_factory, horizon
 
 
+def training_plan(config: BenchmarkConfig) -> list[tuple[str, int, int, int]]:
+    """(preset, periods, batches, rows per batch) of each agent block that
+    trains: what one trial of it will train, counted with the agent's own
+    schedule over the run's post-warmup steps, an ensemble's members summed.
+    A due period counts as run: only a bootstrap member with p < 1 whose
+    history is still empty skips one.  Checks the config as ``setup_run``
+    does."""
+    env_factory, horizon = setup_run(config)
+    probe = env_factory(config.run.seed)
+    steps = range(horizon - probe.num_actions * WARMUP_PULLS)
+    plan = []
+    for spec in config.agents:
+        agent = get_preset(spec.preset).make(
+            probe.dim, probe.num_actions, horizon, config.run.seed, spec.overrides
+        )
+        schedules = [net.schedule for net in getattr(agent, "members", [agent])
+                     if hasattr(net, "schedule")]
+        if not schedules:
+            continue
+        periods = [sum(schedule.due(step, buffer_len=1) for step in steps)
+                   for schedule in schedules]
+        batches = sum(sum(map(schedule.batches, range(n)))
+                      for schedule, n in zip(schedules, periods))
+        plan.append((spec.preset, sum(periods), batches, schedules[0].batch_size))
+    return plan
+
+
 def _run_cell(
     config: BenchmarkConfig,
     horizon: int,

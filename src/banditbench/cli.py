@@ -10,7 +10,7 @@ import sys
 import textwrap
 from typing import Optional, Sequence
 
-from .bench import emit_results, format_summary_table, run_benchmark, setup_run
+from .bench import emit_results, format_summary_table, run_benchmark, training_plan
 from .config import ConfigError, load_config
 from .presets import PRESETS
 
@@ -26,12 +26,14 @@ def _cmd_run(path: str) -> int:
 
 def _cmd_validate(path: str) -> int:
     config = load_config(path)
-    setup_run(config)
+    plan = training_plan(config)
     agents = ", ".join(a.preset for a in config.agents) or "(none)"
     print(
         f"OK: environment={config.environment['name']} agents=[{agents}] "
         f"trials={config.run.trials}"
     )
+    for preset, periods, batches, rows in plan:  # per trial
+        print(f"{preset}: {periods:,} periods, {batches:,} batches of {rows:,} rows")
     return 0
 
 

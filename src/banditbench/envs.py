@@ -336,6 +336,9 @@ def dataset_load(spec: DatasetSpec) -> DatasetBandit:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{spec.path}: row {i + 1} has {len(row)} cells, expected {width}")
+    if spec.header and len(names) != width:
+        raise ValueError(
+            f"{spec.path}: the header names {len(names)} columns, the rows have {width}")
     roles: dict = {}  # column index -> its role
 
     def column(col: Union[str, int], what: str) -> int:

@@ -82,6 +82,13 @@ class _RidgePosterior:
     variances are refreshed, when read, only for the arms an update or a
     refactor changed.  ``arm`` is any index of ``_stale``; an index of one
     arm must be hashable (an int or a tuple).
+
+    A fresh arm's update works on that arm's views in place: S, mu, the
+    precision's diagonal and ``bvec`` take their increments through two
+    scratch arrays per posterior, ``_vec`` (length d) and ``_outer`` (d x d,
+    the Potter correction), so a single row allocates only v = S'x and
+    w = S v.  Its products are 1-D ``ndarray.dot`` calls, bitwise those of
+    ``@`` and cheaper to dispatch.
     """
 
     def __init__(self, dim: int, ridge: float, *, arms: tuple = ()):
@@ -109,10 +116,13 @@ class _RidgePosterior:
         self._any_stale = True  # whether _stale has a set entry
         self._mean = np.empty(arms + (dim,))
         self._cov_root = np.empty(arms + (dim, dim))
+        self._arm_index = list(np.ndindex(arms))  # every arm's index, in C order
         # marginal variances (the "diag" projection), refreshed when read for
         # the arms named in _var_stale
         self._var = np.empty(arms + (dim,))
-        self._var_stale = set(np.ndindex(arms))
+        self._var_stale = set(self._arm_index)
+        self._vec = np.empty(dim)
+        self._outer = np.empty((dim, dim))
 
     def _row(self, x: np.ndarray) -> np.ndarray:
         """``x`` as one float64 context row, or ValueError."""
@@ -124,40 +134,49 @@ class _RidgePosterior:
     def update(self, x: np.ndarray, y: float, arm=()) -> None:
         """Rank-one update of ``arm`` with a single (x, y) pair."""
         x = self._row(x)
-        fresh = np.ndim(self._stale[arm]) == 0 and not self._stale[arm]
-        if fresh:
-            root = self._cov_root[arm]
-            v = x @ root
-            s = v @ v
-            innovation = y - x @ self._mean[arm]
-            if not (math.isfinite(s) and math.isfinite(innovation)):
-                raise ValueError(f"update of arm {arm} is not finite: "
-                                 f"x'P^-1 x = {s}, innovation {innovation}")
-            n = len(self._row_arms)
-            if n == self._max_rows:
-                self._fold()
-                n = 0
-            elif n == len(self._rows):
-                grown = np.empty((min(2 * n, self._max_rows), self.dim))
-                grown[:n] = self._rows
-                self._rows = grown
-            self._rows[n] = x
-            self._row_arms.append(arm)
-        else:
+        stale = self._stale[arm]
+        if isinstance(stale, np.bool_) and not stale:
+            self._update_fresh(x, y, arm)
+        else:  # a stale arm, or an index of several arms
             self.precision[arm] += x[:, None] * x
-        self._precision_diag[arm] += x * x
-        self.bvec[arm] += x * y
-        self.yy[arm] += y * y
-        self.count[arm] += 1
-        if fresh:
-            w = root @ v
-            r = math.sqrt(1.0 + s)
-            root -= (w / (r * (r + 1.0)))[:, None] * v
-            self._mean[arm] += w * (innovation / (1.0 + s))
-            self._var_stale.add(arm)
-        else:
+            self._precision_diag[arm] += x * x
+            self.bvec[arm] += x * y
             self._stale[arm] = True
             self._any_stale = True
+        self.yy[arm] += y * y
+        self.count[arm] += 1
+
+    def _update_fresh(self, x: np.ndarray, y: float, arm) -> None:
+        """Record the row and carry the root and mean of the one fresh
+        ``arm`` forward; raise before writing anything if the step is not
+        finite."""
+        root, mean = self._cov_root[arm], self._mean[arm]
+        v = x.dot(root)
+        s = v.dot(v)
+        innovation = y - x.dot(mean)
+        if not (math.isfinite(s) and math.isfinite(innovation)):
+            raise ValueError(f"update of arm {arm} is not finite: "
+                             f"x'P^-1 x = {s}, innovation {innovation}")
+        n = len(self._row_arms)
+        if n == self._max_rows:
+            self._fold()
+            n = 0
+        elif n == len(self._rows):
+            grown = np.empty((min(2 * n, self._max_rows), self.dim))
+            grown[:n] = self._rows
+            self._rows = grown
+        self._rows[n] = x
+        self._row_arms.append(arm)
+        vec = self._vec
+        diag, bvec = self._precision_diag[arm], self.bvec[arm]
+        diag += np.multiply(x, x, out=vec)
+        bvec += np.multiply(x, y, out=vec)
+        w = root.dot(v)
+        r = math.sqrt(1.0 + s)
+        np.divide(w, r * (r + 1.0), out=vec)
+        root -= np.multiply(vec[:, None], v, out=self._outer)
+        mean += np.multiply(w, innovation / (1.0 + s), out=vec)
+        self._var_stale.add(arm)
 
     def batch_update(self, X: np.ndarray, Y: np.ndarray, arm=()) -> None:
         """Absorb a whole design matrix into ``arm``; equivalent to repeated update."""
@@ -241,11 +260,13 @@ class _RidgePosterior:
         x = self._row(x)
         mean = self.mean
         if approximation == "exact":
-            v = x @ self._cov_root  # S'x of every arm
+            # S'x of every arm: ``dot`` of a row with a stack of roots sums
+            # elementwise, slower than ``@`` and in another order
+            v = x @ self._cov_root
             var = np.einsum("...i,...i->...", v, v)
         else:
-            var = self.covariance_diagonal(approximation) @ (x * x)
-        return mean @ x + np.sqrt(sigma_sq * var) * rng.standard_normal(self.arms)
+            var = self.covariance_diagonal(approximation).dot(x * x)
+        return mean.dot(x) + np.sqrt(sigma_sq * var) * rng.standard_normal(self.arms)
 
 
 class NIGLinearPosterior(_RidgePosterior):
@@ -295,12 +316,11 @@ class NIGLinearPosterior(_RidgePosterior):
         if at is not None:
             sigma_sq = self.b / rng.gamma(self.a)
             return self._score_draw(at, sigma_sq, approximation, rng), sigma_sq
-        a = self.a
         gamma = np.empty(self.arms)
         z = np.empty(self.arms + (self.dim,))
-        for i in np.ndindex(self.arms):
-            gamma[i] = rng.gamma(a[i])
-            z[i] = rng.standard_normal(self.dim)
+        for i, shape in zip(self._arm_index, self.a.ravel().tolist()):
+            gamma[i] = rng.gamma(shape)
+            rng.standard_normal(out=z[i])
         sigma_sq = self.b / gamma
         return self._draw(z, sigma_sq, approximation), sigma_sq
 

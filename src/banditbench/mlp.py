@@ -22,8 +22,12 @@ statistics, dropout masks, d(loss)/d(outputs), the backward's deltas and the
 gradient vector.  ``mlp_forward``, ``mlp_backward``, ``masked_mse`` and
 ``make_dropout_masks`` take one as ``workspace`` and write into it with
 ``out=``; given none, each builds a fresh one for its row count and runs the
-same lines, so the gradchecks, ``mlp_predict`` and ``hidden_features``
-allocate new arrays on every call.  The one training workspace per key is
+same lines, so the gradchecks allocate new arrays on every call.  A single
+1-D context row with neither a workspace nor dropout masks, the greedy and
+chain nets' decisions and NeuralLinear's features, builds no workspace: the
+same layer loop runs on vectors (``ndarray.dot``, then the bias add and
+ReLU in place), whose products are bitwise those of a one-row batch, and
+keeps no backprop cache.  The one training workspace per key is
 ``shared_workspace``'s, which keeps the last ``SHARED_WORKSPACES`` keys',
 and every ``neural.TrainableNet`` of that key trains on it (BootstrappedNN's
 members and BBB's sampled nets too), which is safe because training runs
@@ -225,25 +229,33 @@ def _hidden_layers(
     dropout_masks: Optional[list[np.ndarray]],
     p_keep: float,
     workspace: Optional[Workspace],
-) -> tuple[np.ndarray, Workspace]:
+) -> tuple[np.ndarray, Optional[Workspace]]:
     """Post-activation output of the last hidden layer, and the workspace
-    holding every hidden layer's backprop values."""
-    a = np.atleast_2d(np.asarray(X, dtype=net.dtype))
-    ws = _workspace(net, a.shape[0], workspace)
-    ws.x = a
-    ws.dropped = dropout_masks is not None
+    holding every hidden layer's backprop values; for one 1-D row with no
+    workspace and no masks, that output as a vector and no workspace."""
+    a = np.asarray(X, dtype=net.dtype)
+    ws = None
+    if a.ndim != 1 or workspace is not None or dropout_masks is not None:
+        a = np.atleast_2d(a)
+        ws = _workspace(net, a.shape[0], workspace)
+        ws.x = a
+        ws.dropped = dropout_masks is not None
     for l in range(net.num_layers - 1):
-        z = ws.act[l] = np.matmul(a, net.weights[l], out=ws.act[l])
+        if ws is None:
+            z = a.dot(net.weights[l])
+        else:
+            z = ws.act[l] = np.matmul(a, net.weights[l], out=ws.act[l])
         np.add(z, net.biases[l], out=z)
         if net.layer_norm:
-            xhat, inv, stat = ws.xhat[l], ws.inv[l], ws.stats[0]
-            np.mean(z, axis=1, keepdims=True, out=stat)
+            # a row's statistics are fresh arrays, a batch's the workspace's
+            xhat, inv, stat = (None,) * 3 if ws is None else (ws.xhat[l], ws.inv[l], ws.stats[0])
+            stat = np.mean(z, axis=-1, keepdims=True, out=stat)
             np.subtract(z, stat, out=z)
-            np.multiply(z, z, out=xhat)
-            np.mean(xhat, axis=1, keepdims=True, out=stat)
+            xhat = np.multiply(z, z, out=xhat)
+            np.mean(xhat, axis=-1, keepdims=True, out=stat)
             np.add(stat, LAYER_NORM_EPS, out=stat)
             np.sqrt(stat, out=stat)
-            np.divide(1.0, stat, out=inv)
+            inv = np.divide(1.0, stat, out=inv)
             np.multiply(z, inv, out=xhat)
             np.multiply(net.gains[l], xhat, out=z)
             np.add(z, net.shifts[l], out=z)
@@ -262,17 +274,21 @@ def mlp_forward(
     dropout_masks: Optional[list[np.ndarray]] = None,
     p_keep: float = 1.0,
     workspace: Optional[Workspace] = None,
-) -> tuple[np.ndarray, Workspace]:
+) -> tuple[np.ndarray, Optional[Workspace]]:
     """Batched forward pass; returns outputs (B, k) and the backprop cache.
 
     Hidden layers compute relu(layer_norm(X W + b)) with layer norm skipped
     for plain nets; dropout masks, if given, zero hidden outputs and rescale
-    the survivors by 1/p_keep (inverted dropout).
+    the survivors by 1/p_keep (inverted dropout).  One 1-D row with no
+    workspace and no masks gives outputs (1, k) and no cache (None).
     """
     a, ws = _hidden_layers(net, X, dropout_masks, p_keep, workspace)
-    out = ws.out = np.matmul(a, net.weights[-1], out=ws.out)
+    if ws is None:
+        out = a.dot(net.weights[-1])
+    else:
+        out = ws.out = np.matmul(a, net.weights[-1], out=ws.out)
     np.add(out, net.biases[-1], out=out)
-    return out, ws
+    return (out[None], None) if ws is None else (out, ws)
 
 
 def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
@@ -281,8 +297,10 @@ def mlp_predict(net: MLP, X: np.ndarray) -> np.ndarray:
 
 
 def hidden_features(net: MLP, X: np.ndarray) -> np.ndarray:
-    """Post-activation output of the last hidden layer (batched)."""
-    return _hidden_layers(net, X, None, 1.0, None)[0]
+    """Post-activation output of the last hidden layer (batched: one row
+    gives shape (1, width))."""
+    Z, _ = _hidden_layers(net, X, None, 1.0, None)
+    return Z if Z.ndim == 2 else Z[None]
 
 
 def _layer_norm_backward(net: MLP, ws: Workspace, l: int, dz: np.ndarray) -> None:

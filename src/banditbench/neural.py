@@ -279,8 +279,11 @@ class ParameterNoiseAgent(TrainableNet):
         hidden: Sequence[int] = DEFAULT_HIDDEN,
         name: str = "ParamNoise",
     ):
-        if sigma_init <= 0 or target_eps < 0:
-            raise ValueError("sigma_init must be positive and target_eps >= 0")
+        if sigma_init <= 0:
+            raise ValueError(f"sigma_init must be positive, got {sigma_init!r}")
+        # a target mismatch rate of 1 or more is never reached, so sigma would only grow
+        if not 0.0 <= target_eps < 1.0:
+            raise ValueError(f"target_eps must lie in [0, 1), got {target_eps!r}")
         if horizon < 1:
             raise ValueError("horizon must be positive")
         super().__init__(dim, num_actions, schedule, seed_at(seed, 0), hidden, layer_norm=True)
@@ -357,7 +360,11 @@ class NeuralLinearAgent(TrainableNet):
 
     def _featurize(self, X: np.ndarray) -> np.ndarray:
         Z = hidden_features(self.net, X)
-        return np.concatenate([Z, np.ones((Z.shape[0], 1))], axis=1)
+        n, h = Z.shape
+        phi = np.empty((n, h + 1))
+        phi[:, :h] = Z
+        phi[:, h] = 1.0
+        return phi
 
     def sample_scores(self, context: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         phi = self._featurize(context)[0]

@@ -475,6 +475,7 @@ _BAD_AGENT_VALUES = [
     ("SGFS", "ema_decay=1.0", "ema_decay must lie in [0, 1), got 1.0"),
     ("RMS1", "batch_size=0", "batch_size must be positive, got 0"),
     ("RMS1", "lr_decay=-1", "lr_decay must be >= 0, got -1.0"),
+    ("ParamNoise", "target_eps=1.5", "target_eps must lie in [0, 1), got 1.5"),
 ]
 
 
@@ -572,6 +573,13 @@ _LABEL_RULES = ("classification", "mushroom", "song_gaussian")
       for bucket in ("-0.5", "2.7", "inf")],
     ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=lab",
      "a,lab\n", _ONE_TRIAL, "d.csv has no data rows"),
+    # a header narrower than its rows, whose third column would be one-hot encoded
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=lab\n"
+     "numeric_columns=x", "x,lab\n1.0,a,p\n2.0,b,q\n", _ONE_TRIAL,
+     "d.csv: the header names 2 columns, the rows have 3"),
+    ("name=dataset\npath={data}\nreward_rule=classification\nlabel_column=lab\n"
+     "numeric_columns=x", "x,lab,extra\n1.0,a\n2.0,b\n", _ONE_TRIAL,
+     "d.csv: the header names 3 columns, the rows have 2"),
 ], ids=["wheel-noise_sigma", "wheel-safe_reward", "wheel-inner_reward", "wheel-outer_reward",
         "linear-beta_variance", "linear-context_mean", "linear-noise_sigma", "linear-overflow",
         "linear-square-overflow", "dataset-context", "dataset-reward", "linear-seed-overflow",
@@ -581,7 +589,8 @@ _LABEL_RULES = ("classification", "mushroom", "song_gaussian")
         "dataset-label-past-the-end", "dataset-label-negative", "dataset-label-also-numeric",
         "dataset-reward-also-numeric", "dataset-reward-also-categorical",
         "dataset-shared-header-name", "dataset-bucket--0.5", "dataset-bucket-2.7",
-        "dataset-bucket-inf", "dataset-header-only"])
+        "dataset-bucket-inf", "dataset-header-only", "dataset-header-narrower",
+        "dataset-header-wider"])
 def test_a_non_finite_environment_value_fails_before_any_cell(
     environment, data, run, reason, tmp_path, monkeypatch, capsys
 ):

@@ -461,6 +461,30 @@ def test_score_draw_order_is_pinned(approximation):
             assert rng.random() == by_hand.random()  # nothing more was drawn
 
 
+@pytest.mark.parametrize("arms", [(4,), ()])
+def test_beta_draw_order_is_pinned(arms):
+    rng = np.random.default_rng(43)
+    d = 5
+    post = NIGLinearPosterior(d, arms=arms)
+    for i in range(40):  # refactors at the first read, then root updates
+        arm = i % 4 if arms else ()
+        post.update(rng.standard_normal(d) + 2.0, float(rng.standard_normal()), arm)
+        post.mean
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        beta, sigma_sq = post.sample(rng)
+        by_hand = np.random.default_rng(seed)
+        gamma, z = np.empty(arms), np.empty(arms + (d,))
+        for i in np.ndindex(arms):  # per arm, its gamma, then its d normals
+            gamma[i] = by_hand.gamma(post.a[i])
+            z[i] = by_hand.standard_normal(d)
+        np.testing.assert_array_equal(sigma_sq, post.b / gamma)
+        noise = np.einsum("...ij,...j->...i", post._cov_root, z)
+        np.testing.assert_allclose(beta, post.mean + np.sqrt(sigma_sq)[..., None] * noise,
+                                   rtol=1e-12)
+        assert rng.random() == by_hand.random()  # nothing more was drawn
+
+
 def test_a_score_draw_takes_one_row():
     post, x = _read_root_posterior("fixed")
     with pytest.raises(ValueError, match="context of shape"):

@@ -1,6 +1,7 @@
 """Network forward/backward math, the optimizer, and training schedules."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ def test_forward_promotes_single_context():
     batch = mlp_predict(net, np.array([[0.3, 0.4], [0.3, 0.4]]))
     assert single.shape == (1, 1)
     np.testing.assert_array_equal(batch[0], single[0])
+    # a 1-D row runs on vectors; its bits are those of a one-row batch
+    # through a workspace (a batch of several rows multiplies in another order)
+    rng = np.random.default_rng(11)
+    for dtype, sizes, layer_norm in itertools.product(
+        (np.float32, np.float64), ((3, 100, 100, 5), (3, 5), (101, 7, 2)), (False, True)
+    ):
+        net = mlp_init(sizes, rng, layer_norm=layer_norm).astype(dtype)
+        net.flat += 0.1 * rng.standard_normal(net.flat.size).astype(dtype)
+        ws = Workspace(net.sizes, net.layer_norm, 1, net.dtype)
+        for _ in range(5):
+            x = rng.standard_normal(sizes[0])
+            out, cache = mlp_forward(net, x, workspace=ws)
+            hidden = cache.act[-1] if len(sizes) > 2 else cache.x
+            row, feats = mlp_predict(net, x), hidden_features(net, x)
+            np.testing.assert_array_equal(row, out, strict=True)
+            np.testing.assert_array_equal(feats, hidden, strict=True)
+            assert mlp_forward(net, x)[1] is None
 
 
 def test_masked_mse_values_and_gradient():

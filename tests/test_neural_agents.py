@@ -292,6 +292,11 @@ def test_param_noise_validation():
         ParameterNoiseAgent(2, 2, SMALL, seed=0, horizon=100, sigma_init=0.0)
     with pytest.raises(ValueError):
         ParameterNoiseAgent(2, 2, SMALL, seed=0, horizon=0)
+    # a target mismatch rate of 1 or more is never reached: sigma would only grow
+    for bad in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match=rf"^target_eps must lie in \[0, 1\), got {bad}$"):
+            get_preset("ParamNoise").make(2, 2, 100, 0, {"target_eps": bad})
+    assert get_preset("ParamNoise").make(2, 2, 100, 0, {"target_eps": 0.0}).target_eps == 0.0
 
 
 def test_neural_linear_head_dimensions_and_online_updates():

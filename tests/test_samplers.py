@@ -23,6 +23,7 @@ from banditbench import (
     sgfs_step,
 )
 from banditbench.bench import setup_run
+from banditbench.cli import main
 from banditbench.config import load_config
 from banditbench.mlp import (
     TrainingSchedule,
@@ -423,13 +424,23 @@ def test_the_schedules_plan_is_what_runs(preset):
         assert agent.batches_run == 40 + 33 + 26 + 19 + 12 + 5
 
 
-def test_bbb_default_plan_on_the_long_wheel():
+def test_bbb_default_plan_on_the_long_wheel(tmp_path, capsys):
     # ROADMAP item 6's figure, from the schedule alone: no net trains
     horizon, k, warmup = 2000, 5, 3
     schedule = get_preset("BBB").make(3, k, horizon, 0).schedule
     periods = sum(schedule.due(step, 1) for step in range(horizon - k * warmup))
     assert periods == 100
     assert sum(schedule.batches(p) for p in range(periods)) == 509_950
+    # `bench validate` prints that plan, one line per trained agent; the
+    # bootstrap's ten members train 100 periods of 20 batches each
+    path = tmp_path / "plan.cfg"
+    path.write_text('[environment]\nname=wheel\ndelta=0.95\nhorizon=2000\n'
+                    '[agent "BBB"]\n[agent "LinPost"]\n[agent "BootstrappedNN"]\n',
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["BBB: 100 periods, 509,950 batches of 512 rows",
+                         "BootstrappedNN: 1,000 periods, 20,000 batches of 512 rows"]
 
 
 def test_bbb_agent_trains_and_chooses():
